@@ -114,6 +114,24 @@ def test_gradients_match_and_a_perturbed_coordinate_fails():
     assert len(failures) == 1 and names[pi] in failures[0]
 
 
+def test_central_difference_steps_off_a_kink():
+    # f(x) = max(3x, x + 1e-5) has slope 1 at 0 and a kink at 5e-6,
+    # inside the default step: one difference at 1e-5 reads 1.5.
+    class Param:
+        data = np.zeros(1)
+
+    p = Param()
+    objective = lambda: np.float64(max(3 * p.data[0],  # noqa: E731
+                                       p.data[0] + 1e-5))
+    assert checks.central_differences(objective, [p], [(0, 0)],
+                                      refinements=0) == [pytest.approx(1.5)]
+    numeric = checks.central_differences(objective, [p], [(0, 0)])
+    assert checks.check_gradients(["x"], [np.ones(1)], numeric, [(0, 0)]) == []
+    assert checks.check_gradients(["x"], [np.full(1, 1.001)], numeric,
+                                  [(0, 0)])
+    assert p.data[0] == 0.0
+
+
 def test_heldout_at_chance_fails():
     sents = _sentences(seed=2, count=20)
     chance = workloads.majority_share(sents)

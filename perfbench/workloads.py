@@ -118,23 +118,23 @@ class TagTrainInputs:
     heldout: list[LabeledExample]
 
 
-def tag_train_inputs(seed: int, vocab_types: int = 24000, n_train: int = 64,
-                     n_heldout: int = 50, heldout_copies: int = 3,
-                     lo: int = 10, hi: int = 40) -> TagTrainInputs:
+def tag_train_inputs(seed: int, vocab_types: int = 24000, n_train: int = 72,
+                     n_heldout: int = 150, lo: int = 10, hi: int = 40,
+                     ) -> TagTrainInputs:
     """Zipf tagging corpus whose vocabulary holds every one of vocab_types.
 
-    The training round is n_train sentences of stratified length; the
+    The training set is n_train sentences of stratified length; the
     vocabulary corpus adds the rest of the lexicon as further sentences
     of the same rule, so the word table has exactly vocab_types + 2 rows
-    on every seed. The held-out set is heldout_copies blocks of n_heldout
-    sentences, each block with the same capped length schedule.
+    on every seed. The held-out set is n_heldout sentences of the same
+    stratified lengths.
     """
     rng = np.random.default_rng(seed)
     lex = Lexicon(vocab_types, rng)
     train = [tag_sentence(lex, rng, n)
              for n in stratified_lengths(n_train, lo, hi)]
-    heldout = [tag_sentence(lex, rng, n) for _ in range(heldout_copies)
-               for n in capped_lengths(n_heldout, lo, hi)]
+    heldout = [tag_sentence(lex, rng, n)
+               for n in stratified_lengths(n_heldout, lo, hi)]
     seen = {tok.lower() for ex in train for tok in ex.tokens}
     rest = [i for i in range(vocab_types) if lex.forms[i] not in seen]
     tail = [LabeledExample(kind=TAGGING,

@@ -56,9 +56,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, op={self._op}, requires_grad={self.requires_grad})"
 
@@ -82,10 +79,6 @@ def as_tensor(x) -> Tensor:
 
 def zeros(shape, requires_grad: bool = False) -> Tensor:
     return Tensor(np.zeros(shape, dtype=np.float64), requires_grad)
-
-
-def ones(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.ones(shape, dtype=np.float64), requires_grad)
 
 
 def uniform(shape, lo: float, hi: float, rng: np.random.Generator,
@@ -250,23 +243,6 @@ def absval(x) -> Tensor:
         _accum(x, np.sign(x.data) * g)
 
     return _result(np.abs(x.data), (x,), "abs", back)
-
-
-_POINTWISE_UNARY = {"tanh": tanh, "sigmoid": sigmoid, "abs": absval}
-_POINTWISE_BINARY = {"mul": mul, "add": add, "sub": sub}
-
-
-def pointwise(x, fn: str, other=None) -> Tensor:
-    """Dispatch by name over {tanh, sigmoid, abs} and {mul, add, sub}."""
-    if fn in _POINTWISE_UNARY:
-        if other is not None:
-            raise ValueError(f"pointwise {fn} is unary")
-        return _POINTWISE_UNARY[fn](x)
-    if fn in _POINTWISE_BINARY:
-        if other is None:
-            raise ValueError(f"pointwise {fn} needs a second operand")
-        return _POINTWISE_BINARY[fn](x, other)
-    raise ValueError(f"unknown pointwise fn {fn!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -502,16 +478,6 @@ def sum_all(x) -> Tensor:
         _accum(x, np.full_like(x.data, float(g)))
 
     return _result(np.float64(x.data.sum()), (x,), "sum_all", back)
-
-
-_REDUCE = {"mean_rows": mean_rows, "sum_rows": sum_rows, "logsumexp_row": logsumexp_row}
-
-
-def reduce(x, kind: str) -> Tensor:
-    """Dispatch by name over {mean_rows, sum_rows, logsumexp_row}."""
-    if kind not in _REDUCE:
-        raise ValueError(f"unknown reduce kind {kind!r}")
-    return _REDUCE[kind](x)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ input, 3 training divergence. The CN3_SEED environment variable beats the
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -27,12 +28,12 @@ DOT_THRESHOLD_DEFAULT = 0.05
 
 def load_examples(cfg: RunConfig, path: str) -> list[data_io.LabeledExample]:
     """Parse one data file in the layout the config describes."""
-    if cfg.task == "tag":
+    if cfg.model.task == "tag":
         examples = data_io.parse_conll(path, token_col=cfg.token_col,
                                        tag_col=cfg.tag_col,
                                        pos_col=cfg.pos_col,
                                        tag_scheme=cfg.tag_scheme)
-    elif cfg.task == "match":
+    elif cfg.model.task == "match":
         examples = data_io.parse_pairs(path)
     else:
         examples = data_io.parse_classification_tsv(path)
@@ -80,13 +81,11 @@ def cmd_train(args) -> int:
     train_data = load_examples(cfg, cfg.train_path)
     dev_data = (load_examples(cfg, cfg.dev_path)
                 if cfg.dev_path is not None else None)
-    model = Cn3Model(cfg.model_config(), train_data,
-                     glove_path=cfg.glove_path)
-    print(f"variant={cfg.variant_label()} task={cfg.task} "
+    model = Cn3Model(cfg.model, train_data, glove_path=cfg.glove_path)
+    print(f"variant={cfg.variant_label()} task={cfg.model.task} "
           f"examples={len(train_data)}")
     try:
-        history = tr.train(model, train_data, cfg.train_config(),
-                           dev_data=dev_data)
+        history = tr.train(model, train_data, cfg.train, dev_data=dev_data)
     except tr.TrainingDiverged as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -99,24 +98,16 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _default_metric(task: str) -> str:
-    return "token_accuracy" if task == "tag" else "accuracy"
-
-
 def cmd_eval(args) -> int:
     model = load_archive(args.archive)
+    task = model.cfg.task
     layout = (parse_config(args.config) if args.config
-              else RunConfig(task=model.cfg.task))
-    if layout.task != model.cfg.task:
-        raise ConfigError(f"config task {layout.task!r} does not match "
-                          f"archived task {model.cfg.task!r}")
-    metric = args.metric or _default_metric(model.cfg.task)
-    if metric not in tr.METRICS:
-        raise ConfigError(f"unknown metric {metric!r}; pick from {tr.METRICS}")
-    tag_only = metric in tr.TAG_METRICS
-    if tag_only != (model.cfg.task == "tag"):
-        raise ConfigError(f"metric {metric!r} does not apply to the "
-                          f"{model.cfg.task!r} task")
+              else RunConfig(model=model.cfg))
+    if layout.model.task != task:
+        raise ConfigError(f"config task {layout.model.task!r} does not match "
+                          f"archived task {task!r}")
+    metric = args.metric or tr.default_metric(task)
+    tr.check_metric(metric, task)
     examples = load_examples(layout, args.data)
     value = tr.evaluate(model, examples, metric)
     print(f"metric={value}")
@@ -153,18 +144,14 @@ def cmd_gradcheck(args) -> int:
     the config; full-size finite differences would take hours.
     """
     cfg = parse_config(args.config)
-    model_cfg = cfg.model_config()
-    small = type(model_cfg)(
-        task=cfg.task, layers=max(1, min(cfg.layers, 2)), d_word=3, d_h=3,
+    small = dataclasses.replace(
+        cfg.model, layers=max(1, min(cfg.model.layers, 2)), d_word=3, d_h=3,
         d_a=2, d_char=2, d_pos=2, d_pos_tag=2, d_spell=2, d_rel=2,
-        lstm_hidden=2, char_conv_width=cfg.char_conv_width, max_len=8,
-        use_lstm=cfg.lstm, use_char=cfg.char, use_position=cfg.position,
-        use_pos_tag=cfg.pos, use_spell=cfg.spell, use_dep=cfg.dep,
-        seed=cfg.seed)
-    examples = gradcheck_examples(cfg.task)
+        lstm_hidden=2, max_len=8, min_count=1, fine_tune_words=True)
+    examples = gradcheck_examples(small.task)
     model = Cn3Model(small, examples)
-    randomize_params(model, seed=cfg.seed)
-    print(f"variant={cfg.variant_label()} task={cfg.task}")
+    randomize_params(model, seed=small.seed)
+    print(f"variant={cfg.variant_label()} task={small.task}")
     failed: list[str] = []
     for group, items in model.param_groups().items():
         err = ad.grad_check(lambda: gradcheck_objective(model, examples),

@@ -1,22 +1,31 @@
 """Run configuration: flat key=value files driving training and evaluation.
 
-Files hold one `key = value` per line with `#` comments. Relative paths
-are resolved against the config file's own directory so a config can
-travel with its data. Unknown and duplicate keys are hard errors with
-line numbers; silently ignored settings corrupt experiment bookkeeping.
+Files hold one `key = value` per line with `#` comments. Every key names a
+field of ModelConfig, TrainConfig or RunConfig, except that the attribute
+flags go by the short names in _FLAG_KEYS; `seed`, a field of both
+ModelConfig and TrainConfig, sets both. Relative paths are resolved
+against the config file's own directory so a config can travel with its
+data. Unknown and duplicate keys are hard errors with line numbers;
+silently ignored settings corrupt experiment bookkeeping.
 """
 
 import os
-from dataclasses import dataclass, fields, replace
+import typing
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from .model import ModelConfig, TASKS
-from .training import METRICS, TrainConfig
+from .model import ModelConfig
+from .training import TrainConfig, check_metric, default_metric
 
 
 class ConfigError(ValueError):
     """Bad configuration; the message names the offending key or line."""
 
+
+# Config key of each ModelConfig attribute flag; variant names use them too.
+_FLAG_KEYS = {"lstm": "use_lstm", "char": "use_char", "pos": "use_pos_tag",
+              "dep": "use_dep", "spell": "use_spell",
+              "position": "use_position"}
 
 # Model variants are named by the attribute set riding on the node/edge
 # vectors. Anything else is reported as "custom".
@@ -32,12 +41,12 @@ _NAMED_VARIANTS = {
 
 @dataclass
 class RunConfig:
-    task: str = "classify"
+    model: ModelConfig = field(default_factory=ModelConfig)
+    train: TrainConfig = field(default_factory=TrainConfig)
 
     # data paths (resolved relative to the config file)
     train_path: Optional[str] = None
     dev_path: Optional[str] = None
-    test_path: Optional[str] = None
     glove_path: Optional[str] = None
     edges_path: Optional[str] = None
     archive_path: str = "model.cn3"
@@ -49,108 +58,61 @@ class RunConfig:
     pos_col: Optional[int] = None
     tag_scheme: str = "bio"
 
-    # model shape
-    layers: int = 2
-    d_word: int = 100
-    d_h: int = 100
-    d_a: int = 100
-    d_char: int = 50
-    d_pos: int = 20
-    d_pos_tag: int = 20
-    d_spell: int = 10
-    d_rel: int = 20
-    lstm_hidden: int = 100
-    char_conv_width: int = 3
-    max_len: int = 256
-    min_count: int = 1
-    fine_tune_words: bool = True
-
-    # attribute flags (see variant_label)
-    lstm: bool = False
-    char: bool = False
-    pos: bool = False
-    dep: bool = False
-    spell: bool = False
-    position: bool = False
-
-    # optimization
-    epochs: int = 10
-    batch_size: int = 32
-    patience: int = 0
-    seed: int = 0
-    rho: float = 0.95
-    eps: float = 1e-6
-    clip_norm: Optional[float] = None
-    metric: str = "accuracy"
-
     def variant_label(self) -> str:
-        on = {name for name in ("lstm", "char", "pos", "dep", "spell")
-              if getattr(self, name)}
-        if self.position:
-            return "custom"
+        on = {key for key, name in _FLAG_KEYS.items()
+              if getattr(self.model, name)}
         return _NAMED_VARIANTS.get(frozenset(on), "custom")
 
-    def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            task=self.task, layers=self.layers, d_word=self.d_word,
-            d_h=self.d_h, d_a=self.d_a, d_char=self.d_char, d_pos=self.d_pos,
-            d_pos_tag=self.d_pos_tag, d_spell=self.d_spell, d_rel=self.d_rel,
-            lstm_hidden=self.lstm_hidden,
-            char_conv_width=self.char_conv_width, max_len=self.max_len,
-            use_lstm=self.lstm, use_char=self.char, use_position=self.position,
-            use_pos_tag=self.pos, use_spell=self.spell, use_dep=self.dep,
-            min_count=self.min_count, fine_tune_words=self.fine_tune_words,
-            seed=self.seed)
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(epochs=self.epochs, batch_size=self.batch_size,
-                           patience=self.patience, seed=self.seed,
-                           rho=self.rho, eps=self.eps,
-                           clip_norm=self.clip_norm, metric=self.metric)
-
     def validate(self) -> None:
-        """Check cross-field consistency and that referenced inputs exist."""
-        if self.task not in TASKS:
-            raise ConfigError(f"task must be one of {TASKS}, got {self.task!r}")
-        if self.metric not in METRICS:
-            raise ConfigError(f"metric must be one of {METRICS}, "
-                              f"got {self.metric!r}")
-        if self.task in ("classify", "match") and self.metric != "accuracy":
-            raise ConfigError(f"metric {self.metric!r} needs the tag task")
-        for name in ("train_path", "dev_path", "test_path", "glove_path",
-                     "edges_path"):
+        """Check that the metric scores the task and that inputs exist."""
+        try:
+            check_metric(self.train.metric, self.model.task)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        for name in _INPUT_PATHS:
             path = getattr(self, name)
             if path is not None and not os.path.exists(path):
                 raise ConfigError(f"{name} does not exist: {path}")
-        # delegate range checks so the rules live in one place
-        try:
-            self.model_config()
-            self.train_config()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
 
 
 _BOOL_WORDS = {"true": True, "yes": True, "1": True,
                "false": False, "no": False, "0": False}
 
-_PATH_FIELDS = ("train_path", "dev_path", "test_path", "glove_path",
-                "edges_path", "archive_path", "history_path")
+_INPUT_PATHS = ("train_path", "dev_path", "glove_path", "edges_path")
+_PATH_FIELDS = _INPUT_PATHS + ("archive_path", "history_path")
+
+
+def _key_table() -> dict[str, tuple[type, list[tuple[str, str]]]]:
+    """Config key -> (value type, [(section, field name), ...])."""
+    flag_key = {name: key for key, name in _FLAG_KEYS.items()}
+    table: dict[str, tuple[type, list[tuple[str, str]]]] = {}
+    for section, cls in (("model", ModelConfig), ("train", TrainConfig),
+                         ("run", RunConfig)):
+        for name, tp in typing.get_type_hints(cls).items():
+            if cls is RunConfig and name in ("model", "train"):
+                continue
+            key = flag_key.get(name, name)
+            table.setdefault(key, (tp, []))[1].append((section, name))
+    return table
+
+
+_KEYS = _key_table()
 
 
 def _convert(key: str, raw: str, target_type, lineno: int):
-    if target_type is Optional[str] or target_type is str:
+    optional = type(None) in typing.get_args(target_type)
+    base = typing.get_args(target_type)[0] if optional else target_type
+    if base is str:
         return raw
     if raw.lower() == "none":
-        if target_type in (Optional[int], Optional[float]):
+        if optional:
             return None
         raise ConfigError(f"line {lineno}: {key} cannot be none")
     try:
-        if target_type is bool:
+        if base is bool:
             return _BOOL_WORDS[raw.lower()]
-        if target_type in (int, Optional[int]):
-            return int(raw)
-        if target_type in (float, Optional[float]):
-            return float(raw)
+        if base in (int, float):
+            return base(raw)
     except (KeyError, ValueError):
         raise ConfigError(f"line {lineno}: cannot parse {key} value {raw!r}")
     raise ConfigError(f"line {lineno}: unsupported key {key!r}")
@@ -158,9 +120,9 @@ def _convert(key: str, raw: str, target_type, lineno: int):
 
 def parse_config(path: str) -> RunConfig:
     """Read a key=value file into a validated RunConfig."""
-    types = {f.name: f.type for f in fields(RunConfig)}
     seen: dict[str, int] = {}
-    values: dict[str, object] = {}
+    values: dict[str, dict[str, object]] = {"model": {}, "train": {},
+                                            "run": {}}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
@@ -171,17 +133,26 @@ def parse_config(path: str) -> RunConfig:
                                   f"got {text!r}")
             key, _, raw = text.partition("=")
             key, raw = key.strip(), raw.strip()
-            if key not in types:
+            if key not in _KEYS:
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
             if key in seen:
                 raise ConfigError(f"line {lineno}: duplicate key {key!r} "
                                   f"(first set on line {seen[key]})")
             seen[key] = lineno
-            values[key] = _convert(key, raw, types[key], lineno)
+            target_type, targets = _KEYS[key]
+            value = _convert(key, raw, target_type, lineno)
+            for section, name in targets:
+                values[section][name] = value
 
+    try:
+        model = ModelConfig(**values["model"])
+        values["train"].setdefault("metric", default_metric(model.task))
+        train = TrainConfig(**values["train"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     # All paths, defaulted ones included, resolve relative to the config file.
     base = os.path.dirname(os.path.abspath(path))
-    cfg = RunConfig(**values)
+    cfg = RunConfig(model=model, train=train, **values["run"])
     resolved = {name: os.path.normpath(os.path.join(base, getattr(cfg, name)))
                 for name in _PATH_FIELDS if getattr(cfg, name) is not None}
     cfg = replace(cfg, **resolved)
@@ -191,15 +162,14 @@ def parse_config(path: str) -> RunConfig:
 
 def resolve_seed(cfg: RunConfig, cli_seed: Optional[int] = None) -> RunConfig:
     """Apply seed precedence: CN3_SEED env var, then --seed, then config."""
-    seed = cfg.seed
-    if cli_seed is not None:
-        seed = cli_seed
+    seed = cli_seed
     env = os.environ.get("CN3_SEED")
     if env is not None:
         try:
             seed = int(env)
         except ValueError:
             raise ConfigError(f"CN3_SEED must be an integer, got {env!r}")
-    if seed != cfg.seed:
-        cfg = replace(cfg, seed=seed)
-    return cfg
+    if seed is None:
+        return cfg
+    return replace(cfg, model=replace(cfg.model, seed=seed),
+                   train=replace(cfg.train, seed=seed))

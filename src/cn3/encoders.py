@@ -19,35 +19,6 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .embeddings import EmbeddingTable, lookup
 
-MAX_SENTENCE_LEN = 256
-
-ATTR_ORDER = ("position", "lstm_context", "char", "pos_tag", "spell")
-
-
-@dataclass(frozen=True)
-class NodeAttrConfig:
-    """Which attribute encoders feed the node vector v, and their sizes."""
-
-    use_position: bool = False
-    use_lstm_context: bool = False
-    use_char: bool = False
-    use_pos_tag: bool = False
-    use_spell: bool = False
-    lstm_hidden: int = 100
-    char_conv_width: int = 3
-
-    def __post_init__(self):
-        if self.lstm_hidden < 1:
-            raise ValueError("lstm_hidden must be positive")
-        if self.char_conv_width < 1:
-            raise ValueError("char_conv_width must be positive")
-
-    def enabled(self) -> tuple[str, ...]:
-        flags = {"position": self.use_position, "lstm_context": self.use_lstm_context,
-                 "char": self.use_char, "pos_tag": self.use_pos_tag,
-                 "spell": self.use_spell}
-        return tuple(name for name in ATTR_ORDER if flags[name])
-
 
 @dataclass
 class SentenceGraph:
@@ -221,38 +192,29 @@ def bilstm_context(word_vecs: Tensor, params: BiLstmParams) -> Tensor:
     return ad.concat_rows(rows) if len(rows) > 1 else rows[0]
 
 
-def assemble_node_attrs(g: SentenceGraph, cfg: NodeAttrConfig,
+def assemble_node_attrs(g: SentenceGraph,
                         params: EncoderParams) -> tuple[Tensor, Tensor | None]:
     """Return (h0, v): word embeddings and the concatenated attribute vector.
 
-    v is None when no attribute is enabled; downstream code skips it in
-    concatenations rather than carrying a zero-width block.
+    An attribute rides on v when its parameters are present in params; the
+    columns of v run position, lstm, char, pos_tag, spell. v is None when
+    no attribute is present; downstream code skips it in concatenations
+    rather than carrying a zero-width block.
     """
     h0 = lookup(params.word_table, g.word_ids)
     parts: list[Tensor] = []
-    for name in cfg.enabled():
-        if name == "position":
-            if params.position_table is None:
-                raise ValueError("position attribute enabled but no position table")
-            parts.append(encode_positions(g.n, params.position_table))
-        elif name == "lstm_context":
-            if params.lstm is None:
-                raise ValueError("lstm context enabled but no lstm parameters")
-            parts.append(bilstm_context(h0, params.lstm))
-        elif name == "char":
-            if params.char_table is None or params.char_conv is None:
-                raise ValueError("char attribute enabled but no char encoder")
-            parts.append(encode_chars(g.char_ids, params.char_table, params.char_conv))
-        elif name == "pos_tag":
-            if params.pos_tag_table is None:
-                raise ValueError("pos-tag attribute enabled but no tag table")
-            if g.pos_tag_ids is None:
-                raise ValueError("pos-tag attribute enabled but sentence has no tags")
-            parts.append(lookup(params.pos_tag_table, g.pos_tag_ids))
-        elif name == "spell":
-            if params.spell_table is None:
-                raise ValueError("spell attribute enabled but no spell table")
-            parts.append(lookup(params.spell_table, g.spell_ids))
+    if params.position_table is not None:
+        parts.append(encode_positions(g.n, params.position_table))
+    if params.lstm is not None:
+        parts.append(bilstm_context(h0, params.lstm))
+    if params.char_conv is not None:
+        parts.append(encode_chars(g.char_ids, params.char_table, params.char_conv))
+    if params.pos_tag_table is not None:
+        if g.pos_tag_ids is None:
+            raise ValueError("pos-tag attribute enabled but sentence has no tags")
+        parts.append(lookup(params.pos_tag_table, g.pos_tag_ids))
+    if params.spell_table is not None:
+        parts.append(lookup(params.spell_table, g.spell_ids))
     if not parts:
         return h0, None
     return h0, (ad.concat_cols(parts) if len(parts) > 1 else parts[0])
@@ -275,18 +237,17 @@ def assemble_edge_attrs(g: SentenceGraph, rel_table: EmbeddingTable) -> Tensor:
     return lookup(rel_table, ids)
 
 
-def attr_width(cfg: NodeAttrConfig, params: EncoderParams) -> int:
-    """Width of v under cfg; the sum of the enabled encoders' output sizes."""
+def attr_width(params: EncoderParams) -> int:
+    """Width of v: the sum of the present encoders' output sizes."""
     total = 0
-    for name in cfg.enabled():
-        if name == "position":
-            total += params.position_table.dim
-        elif name == "lstm_context":
-            total += 2 * params.lstm.forward.hidden
-        elif name == "char":
-            total += params.char_conv.weight.shape[1]
-        elif name == "pos_tag":
-            total += params.pos_tag_table.dim
-        elif name == "spell":
-            total += params.spell_table.dim
+    if params.position_table is not None:
+        total += params.position_table.dim
+    if params.lstm is not None:
+        total += 2 * params.lstm.forward.hidden
+    if params.char_conv is not None:
+        total += params.char_conv.weight.shape[1]
+    if params.pos_tag_table is not None:
+        total += params.pos_tag_table.dim
+    if params.spell_table is not None:
+        total += params.spell_table.dim
     return total

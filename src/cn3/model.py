@@ -57,20 +57,10 @@ class ModelConfig:
         if self.layers < 0:
             raise ValueError("layers must be >= 0")
         for name in ("d_word", "d_h", "d_a", "d_char", "d_pos", "d_pos_tag",
-                     "d_spell", "d_rel", "lstm_hidden", "max_len"):
+                     "d_spell", "d_rel", "lstm_hidden", "char_conv_width",
+                     "max_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-
-    def node_attr_config(self) -> encoders.NodeAttrConfig:
-        return encoders.NodeAttrConfig(
-            use_position=self.use_position,
-            use_lstm_context=self.use_lstm,
-            use_char=self.use_char,
-            use_pos_tag=self.use_pos_tag,
-            use_spell=self.use_spell,
-            lstm_hidden=self.lstm_hidden,
-            char_conv_width=self.char_conv_width,
-        )
 
 
 def _collect_sentences(examples: Iterable[data.LabeledExample]):
@@ -162,7 +152,7 @@ class Cn3Model:
                                                  cfg.d_spell, rng)
                          if cfg.use_spell else None),
         )
-        d_v = encoders.attr_width(cfg.node_attr_config(), self.encoder)
+        d_v = encoders.attr_width(self.encoder)
         self.stack = core.init_stack(cfg.d_word, cfg.d_h, d_v, cfg.d_rel,
                                      cfg.d_a, cfg.layers, rng)
         if cfg.task == "tag":
@@ -274,8 +264,7 @@ class Cn3Model:
 
     def encode(self, g: encoders.SentenceGraph,
                tokens: list[str] | None = None) -> tuple[Tensor, core.AlphaTrace]:
-        h0, v = encoders.assemble_node_attrs(g, self.cfg.node_attr_config(),
-                                             self.encoder)
+        h0, v = encoders.assemble_node_attrs(g, self.encoder)
         e = encoders.assemble_edge_attrs(g, self.encoder.rel_table)
         return core.run_stack(h0, v, e, self.stack, tokens=tokens)
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import NumericError, Tensor
-from .data import Batch, LabeledExample, make_batches
+from .data import TAGGING, Batch, LabeledExample, make_batches
 from .model import Cn3Model
 
 RHO_DEFAULT = 0.95
@@ -172,10 +172,30 @@ def evaluate_tagging(model: Cn3Model, examples: Sequence[LabeledExample],
     return chunk_f1(golds, preds)
 
 
+def default_metric(task: str) -> str:
+    """The metric a task is scored with when none is named."""
+    return "token_accuracy" if task == "tag" else "accuracy"
+
+
+def check_metric(metric: str, task: str) -> None:
+    """Raise ValueError unless `metric` is known and scores `task`."""
+    if metric not in METRICS:
+        raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
+    if (metric in TAG_METRICS) != (task == "tag"):
+        raise ValueError(f"metric {metric!r} does not apply to the {task!r} "
+                         f"task: the tag task takes {' or '.join(TAG_METRICS)}, "
+                         f"the others take accuracy")
+
+
 def evaluate(model: Cn3Model, examples: Sequence[LabeledExample],
              metric: str = "accuracy") -> float:
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}; pick from {METRICS}")
+    tagged = metric in TAG_METRICS
+    for ex in examples:
+        if (ex.kind == TAGGING) != tagged:
+            raise ValueError(f"metric {metric!r} does not apply to "
+                             f"{ex.kind} examples")
     if metric == "accuracy":
         return evaluate_classification(model, examples)
     return evaluate_tagging(model, examples, metric)

@@ -239,13 +239,6 @@ class TestReductions:
         ad.backward(ad.sum_all(x))
         np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
-    def test_reduce_dispatch(self):
-        x = Tensor([[1.0, 2.0]])
-        np.testing.assert_array_equal(ad.reduce(x, "sum_rows").data,
-                                      ad.sum_rows(x).data)
-        with pytest.raises(ValueError):
-            ad.reduce(x, "prod_rows")
-
 
 class TestStructureOps:
     def test_concat_cols_roundtrip(self):
@@ -381,13 +374,3 @@ class TestGradCheck:
 
         assert ad.grad_check(f, [x]) > 1e-4
         monkeypatch.setattr(ad, "tanh", real_tanh)
-
-    def test_pointwise_dispatch(self):
-        x = Tensor([[1.0, -2.0]])
-        np.testing.assert_array_equal(ad.pointwise(x, "abs").data, [[1.0, 2.0]])
-        np.testing.assert_array_equal(
-            ad.pointwise(x, "add", other=x).data, [[2.0, -4.0]])
-        with pytest.raises(ValueError):
-            ad.pointwise(x, "exp")
-        with pytest.raises(ValueError):
-            ad.pointwise(x, "mul")

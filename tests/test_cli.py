@@ -100,6 +100,22 @@ class TestTrain:
         assert entry(["train", "--config", str(cfg)]) == 0
         assert (tmp_path / "model.cn3").exists()
 
+    def test_tagging_dev_set_scored_by_token_accuracy(self, tmp_path):
+        # with no metric key a tag run must still score its dev set; an
+        # accuracy score of 0.0 every epoch would keep epoch 0's weights
+        train, dev = case_tagging(n_train=24, n_test=8, seed=0)
+        (tmp_path / "train.conll").write_text(serialize_conll(train))
+        (tmp_path / "dev.conll").write_text(serialize_conll(dev))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("task = tag\ntrain_path = train.conll\n"
+                       "dev_path = dev.conll\ntag_col = 1\nlayers = 1\n"
+                       "d_word = 6\nd_h = 6\nd_a = 4\n"
+                       "epochs = 2\nbatch_size = 8\n")
+        assert entry(["train", "--config", str(cfg)]) == 0
+        rows = [json.loads(line) for line in
+                (tmp_path / "history.jsonl").read_text().splitlines()]
+        assert all(row["dev_metric"] > 0.0 for row in rows)
+
 
 class TestEval:
     def test_prints_metric_line(self, tmp_path, capsys):

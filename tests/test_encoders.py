@@ -1,5 +1,7 @@
 """Attribute encoder tests: positions, char conv pooling, BiLSTM, assembly."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from cn3 import embeddings as emb
 from cn3 import encoders as enc
 from cn3.autodiff import Tensor
 from cn3.embeddings import build_vocab, table_for
-from cn3.encoders import (BiLstmParams, NodeAttrConfig, SentenceGraph,
+from cn3.encoders import (BiLstmParams, SentenceGraph,
                           assemble_edge_attrs, assemble_node_attrs,
                           bilstm_context, encode_chars, encode_positions,
                           init_bilstm, init_char_conv)
@@ -186,7 +188,7 @@ def encoder_params(d_word=4, d_pos=20, h=2, d_char=3, d_tag=5, d_spell=2,
     return enc.EncoderParams(
         word_table=table_for(wvocab, d_word, r),
         rel_table=table_for(rvocab, d_rel, r),
-        position_table=emb.random_table(enc.MAX_SENTENCE_LEN, d_pos, r),
+        position_table=emb.random_table(16, d_pos, r),
         char_table=table_for(cvocab, 3, r),
         char_conv=init_char_conv(3, 3, d_char, r),
         lstm=init_bilstm(d_word, h, r),
@@ -195,52 +197,67 @@ def encoder_params(d_word=4, d_pos=20, h=2, d_char=3, d_tag=5, d_spell=2,
     )
 
 
+# Each attribute's parameter bundles in EncoderParams, in v's column order.
+ATTR_BUNDLES = {"position": ("position_table",), "lstm": ("lstm",),
+                "char": ("char_table", "char_conv"),
+                "pos_tag": ("pos_tag_table",), "spell": ("spell_table",)}
+
+
+def with_attrs(p, *names):
+    """p with the bundles of every attribute not in names set to None."""
+    return replace(p, **{bundle: None for attr, bundles in ATTR_BUNDLES.items()
+                         if attr not in names for bundle in bundles})
+
+
 class TestAssembleNodeAttrs:
     def test_all_flags_off_gives_none(self):
-        p = encoder_params()
-        h0, v = assemble_node_attrs(graph(), NodeAttrConfig(), p)
+        p = with_attrs(encoder_params())
+        h0, v = assemble_node_attrs(graph(), p)
         assert h0.shape == (2, 4)
         assert v is None
 
     def test_position_only_width(self):
-        p = encoder_params(d_pos=20)
-        _, v = assemble_node_attrs(graph(), NodeAttrConfig(use_position=True), p)
+        p = with_attrs(encoder_params(d_pos=20), "position")
+        _, v = assemble_node_attrs(graph(), p)
         assert v.shape == (2, 20)
 
     def test_lstm_plus_char_width_is_250(self):
-        p = encoder_params(h=100, d_char=50)
-        cfg = NodeAttrConfig(use_lstm_context=True, use_char=True, lstm_hidden=100)
-        _, v = assemble_node_attrs(graph(), cfg, p)
+        p = with_attrs(encoder_params(h=100, d_char=50), "lstm", "char")
+        _, v = assemble_node_attrs(graph(), p)
         assert v.shape == (2, 250)
 
     def test_width_always_sums_enabled_parts(self):
-        p = encoder_params()
+        full = encoder_params()
         for flags in range(1, 32):
-            cfg = NodeAttrConfig(use_position=bool(flags & 1),
-                                 use_lstm_context=bool(flags & 2),
-                                 use_char=bool(flags & 4),
-                                 use_pos_tag=bool(flags & 8),
-                                 use_spell=bool(flags & 16),
-                                 lstm_hidden=2)
+            names = [attr for bit, attr in enumerate(ATTR_BUNDLES)
+                     if flags & (1 << bit)]
+            p = with_attrs(full, *names)
             g = graph(tags=(2, 3))
-            _, v = assemble_node_attrs(g, cfg, p)
-            assert v.shape == (2, enc.attr_width(cfg, p))
+            _, v = assemble_node_attrs(g, p)
+            assert v.shape == (2, enc.attr_width(p))
+
+    def test_column_order_is_position_lstm_char_pos_tag_spell(self):
+        p = encoder_params()
+        g = graph(tags=(2, 3))
+        _, v = assemble_node_attrs(g, p)
+        blocks = [assemble_node_attrs(g, with_attrs(p, attr))[1].data
+                  for attr in ATTR_BUNDLES]
+        np.testing.assert_array_equal(v.data, np.concatenate(blocks, axis=1))
 
     def test_missing_tags_rejected(self):
-        p = encoder_params()
+        p = with_attrs(encoder_params(), "pos_tag")
         with pytest.raises(ValueError, match="tags"):
-            assemble_node_attrs(graph(), NodeAttrConfig(use_pos_tag=True), p)
+            assemble_node_attrs(graph(), p)
 
     def test_h0_is_word_lookup(self):
-        p = encoder_params()
-        h0, _ = assemble_node_attrs(graph(words=(2, 2)), NodeAttrConfig(), p)
+        p = with_attrs(encoder_params())
+        h0, _ = assemble_node_attrs(graph(words=(2, 2)), p)
         np.testing.assert_array_equal(h0.data, p.word_table.weights.data[[2, 2]])
 
     def test_deterministic(self):
-        p = encoder_params()
-        cfg = NodeAttrConfig(use_position=True, use_spell=True)
-        a = assemble_node_attrs(graph(), cfg, p)[1].data
-        b = assemble_node_attrs(graph(), cfg, p)[1].data
+        p = with_attrs(encoder_params(), "position", "spell")
+        a = assemble_node_attrs(graph(), p)[1].data
+        b = assemble_node_attrs(graph(), p)[1].data
         np.testing.assert_array_equal(a, b)
 
 

@@ -10,7 +10,8 @@ from cn3 import training as tr
 from cn3.autodiff import NumericError, Tensor
 from cn3.data import CLASSIFICATION, LabeledExample
 from cn3.model import Cn3Model, ModelConfig
-from cn3.synthetic import first_last_pairing, keyword_classification
+from cn3.synthetic import (case_tagging, first_last_pairing,
+                           keyword_classification)
 
 
 def named(t):
@@ -184,6 +185,16 @@ class TestEvaluate:
     def test_unknown_metric_rejected(self):
         with pytest.raises(ValueError, match="metric"):
             tr.TrainConfig(metric="bleu")
+
+    def test_metric_must_fit_the_examples(self):
+        tagged, _ = case_tagging(n_train=4, n_test=1, seed=0)
+        m = Cn3Model(ModelConfig(task="tag", layers=0, d_word=3, d_h=3,
+                                 d_a=2, seed=0), tagged)
+        with pytest.raises(ValueError, match="does not apply to tagging"):
+            tr.evaluate(m, tagged, "accuracy")
+        labelled = keyword_classification(n=4, seed=0)
+        with pytest.raises(ValueError, match="does not apply to classification"):
+            tr.evaluate(m, labelled, "token_accuracy")
 
 
 def tiny_train_cfg(**overrides):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import struct
+import typing
 
 import numpy as np
 
@@ -41,6 +42,47 @@ def _header(model: Cn3Model) -> dict:
         "tensors": [{"name": name, "shape": list(t.shape)}
                     for name, t in model.state_tensors()],
     }
+
+
+def _is_a(value, tp) -> bool:
+    # bool is a subclass of int; a JSON true must not pass for an integer.
+    return isinstance(value, tp) and (tp is bool or not isinstance(value, bool))
+
+
+def _list_of(value, tp) -> bool:
+    return isinstance(value, list) and all(_is_a(x, tp) for x in value)
+
+
+def _check_header(header) -> None:
+    """Raise ArchiveError unless every header field is present and well typed."""
+    for key, tp in (("config", dict), ("vocabs", dict), ("labels", list),
+                    ("tensors", list)):
+        if key not in header:
+            raise ArchiveError(f"archive header has no {key!r} field")
+        if not isinstance(header[key], tp):
+            raise ArchiveError(f"archive header field {key!r} is not a "
+                               f"JSON {'object' if tp is dict else 'array'}")
+    fields = typing.get_type_hints(ModelConfig)
+    for key, value in header["config"].items():
+        if key not in fields:
+            raise ArchiveError(f"archive config has unknown key {key!r}")
+        if not _is_a(value, fields[key]):
+            raise ArchiveError(f"archive config key {key!r} is not a "
+                               f"{fields[key].__name__}: {value!r}")
+    vocabs = header["vocabs"]
+    for name in ("word", "char", "pos_tag", "rel"):
+        if name not in vocabs:
+            raise ArchiveError(f"archive vocabs have no {name!r} entry")
+        if not (_list_of(vocabs[name], str)
+                or (name == "pos_tag" and vocabs[name] is None)):
+            raise ArchiveError(f"archive vocab {name!r} is not a list of strings")
+    if not _list_of(header["labels"], str):
+        raise ArchiveError("archive labels are not a list of strings")
+    for entry in header["tensors"]:
+        if not (isinstance(entry, dict) and _is_a(entry.get("name"), str)
+                and _list_of(entry.get("shape"), int)):
+            raise ArchiveError(f"archive tensor entry {entry!r} needs a string "
+                               "name and a list of integer dimensions")
 
 
 def save_archive(model: Cn3Model, path: str) -> None:
@@ -73,20 +115,25 @@ def load_archive(path: str) -> Cn3Model:
         raise ArchiveError(f"{path} has an unreadable header: {exc}") from exc
     offset += header_len
 
+    if not isinstance(header, dict):
+        raise ArchiveError(f"{path} has a header that is not a JSON object")
     if header.get("version") != FORMAT_VERSION:
         raise ArchiveError(f"unsupported archive version {header.get('version')!r}"
                            f" (this build reads {FORMAT_VERSION})")
-    cfg = ModelConfig(**header["config"])
+    _check_header(header)
     vocabs = header["vocabs"]
-    model = Cn3Model.from_parts(
-        cfg,
-        word_vocab=embeddings.Vocabulary(vocabs["word"]),
-        char_vocab=embeddings.Vocabulary(vocabs["char"]),
-        pos_tag_vocab=(embeddings.Vocabulary(vocabs["pos_tag"])
-                       if vocabs["pos_tag"] is not None else None),
-        rel_vocab=embeddings.Vocabulary(vocabs["rel"]),
-        labels=header["labels"],
-    )
+    try:
+        model = Cn3Model.from_parts(
+            ModelConfig(**header["config"]),
+            word_vocab=embeddings.Vocabulary(vocabs["word"]),
+            char_vocab=embeddings.Vocabulary(vocabs["char"]),
+            pos_tag_vocab=(embeddings.Vocabulary(vocabs["pos_tag"])
+                           if vocabs["pos_tag"] is not None else None),
+            rel_vocab=embeddings.Vocabulary(vocabs["rel"]),
+            labels=header["labels"],
+        )
+    except ValueError as exc:
+        raise ArchiveError(f"{path} holds an invalid model: {exc}") from exc
 
     stored = header["tensors"]
     live = model.state_tensors()

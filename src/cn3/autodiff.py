@@ -8,7 +8,9 @@ accumulates gradients additively across fan-out.
 
 Broadcasting is deliberately narrow: binary elementwise ops accept equal
 shapes, or a 2-D left operand with a row-vector right operand (bias add,
-row-wise gating). Everything else must match exactly.
+row-wise gating). Everything else must match exactly. The one explicit
+pair broadcast is ``pair_sum``, which adds a per-source and a per-target
+row to every ordered pair's row; the pair scorer is built on it.
 """
 
 from __future__ import annotations
@@ -335,6 +337,34 @@ def gather_rows(x, ids: Iterable[int]) -> Tensor:
             _accum(x, gx)
 
     return _result(x.data[idx], (x,), "gather_rows", back)
+
+
+def pair_sum(src, tgt, edge) -> Tensor:
+    """Every ordered pair's sum: row i*n + k is src[i] + tgt[k] + edge[i*n + k].
+
+    src and tgt are [n, d], edge is [n*n, d]. The result is built in one
+    buffer; the backward pass sums the incoming gradient over targets for
+    src and over sources for tgt.
+    """
+    src, tgt, edge = as_tensor(src), as_tensor(tgt), as_tensor(edge)
+    if src.ndim != 2 or tgt.shape != src.shape:
+        raise ShapeError(f"pair_sum: src {src.shape} and tgt {tgt.shape} "
+                         "must be equal [n, d] matrices")
+    n, d = src.shape
+    if edge.shape != (n * n, d):
+        raise ShapeError(f"pair_sum: edge {edge.shape}, expected {(n * n, d)}")
+    out = edge.data.reshape(n, n, d) + src.data[:, None, :]
+    out += tgt.data[None, :, :]
+
+    def back(g):
+        g3 = g.reshape(n, n, d)
+        if src.requires_grad:
+            _accum(src, g3.sum(axis=1))
+        if tgt.requires_grad:
+            _accum(tgt, g3.sum(axis=0))
+        _accum(edge, g)
+
+    return _result(out.reshape(n * n, d), (src, tgt, edge), "pair_sum", back)
 
 
 def take(x, flat_ids: Iterable[int]) -> Tensor:

@@ -7,6 +7,14 @@ that distribution, and blends the aggregate into the node through a
 sigmoid gate computed from the current state. Layers stack without
 parameter sharing; node and edge attributes are computed once and reused.
 
+The pair scores are evaluated in factored form: the scorer's weight
+matrix is linear in each block of the pair's concatenated features, so
+each token is projected once as a source and once as a target, and only
+the edge attributes are projected per pair. A layer's scoring costs
+O(n*d_cat*d_a + n^2*(d_e + c)*d_a) instead of O(n^2*d_cat*d_a), where c
+is a small constant for the pair sum, tanh and the u projection; the
+scores, their orientation and the weight layout are unchanged.
+
 Orientation conventions, fixed throughout: score matrix entry s[i][k] is
 source i, target k; normalization runs down each column (over sources);
 weight matrices are consumed as right operands of row-major matmuls.
@@ -87,23 +95,34 @@ def edge_scores(h: Tensor, v: Tensor | None, e: Tensor,
     """Score every ordered pair: s[i][k] = u . tanh([h_k, h_i, v_i, v_k, e_ik] @ W).
 
     e holds one row per ordered pair in row-major order, pair (i, k) at
-    row i*n + k. A None v stands for a zero-width attribute block and is
-    simply left out of the concatenation.
+    row i*n + k. A None v stands for a zero-width attribute block.
+
+    W is linear in each block, so the product is evaluated in factored
+    form: a source term [h_i, v_i] @ W_src and a target term
+    [h_k, v_k] @ W_tgt, each computed once per token, plus an edge term
+    e_ik @ W_e per pair. The [n*n, d_cat] concatenation is never built;
+    the cost is O(n*d_cat*d_a + n^2*(d_e + c)*d_a) for a small constant c.
     """
-    n = h.shape[0]
+    n, d_h = h.shape
+    d_v = 0 if v is None else v.shape[1]
     if v is not None and v.shape[0] != n:
         raise ad.ShapeError(f"v has {v.shape[0]} rows for {n} tokens")
     if e.shape[0] != n * n:
         raise ad.ShapeError(f"e has {e.shape[0]} rows, expected {n * n}")
-    src = np.repeat(np.arange(n), n)  # i of pair row i*n + k
-    tgt = np.tile(np.arange(n), n)    # k of pair row i*n + k
-    blocks = [ad.gather_rows(h, tgt), ad.gather_rows(h, src)]
-    if v is not None:
-        blocks.append(ad.gather_rows(v, src))
-        blocks.append(ad.gather_rows(v, tgt))
-    blocks.append(e)
-    cat = ad.concat_cols(blocks)                       # [n*n, d_cat]
-    hidden = ad.tanh(ad.matmul(cat, p.w_score))        # [n*n, d_a]
+    d_cat = p.w_score.shape[0]
+    if e.ndim != 2 or 2 * d_h + 2 * d_v + e.shape[1] != d_cat:
+        raise ad.ShapeError(f"h {h.shape}, v width {d_v} and e {e.shape} do "
+                            f"not fill the {d_cat} rows of w_score")
+    # w_score row blocks, in order: h_k, h_i, v_i, v_k, e_ik.
+    rows = np.arange(d_cat)
+    src_rows = rows[d_h:2 * d_h + d_v]
+    tgt_rows = np.concatenate([rows[:d_h], rows[2 * d_h + d_v:2 * d_h + 2 * d_v]])
+    edge_rows = rows[2 * d_h + 2 * d_v:]
+    hv = h if v is None else ad.concat_cols([h, v])            # [n, d_h + d_v]
+    src = ad.matmul(hv, ad.gather_rows(p.w_score, src_rows))   # [n, d_a]
+    tgt = ad.matmul(hv, ad.gather_rows(p.w_score, tgt_rows))   # [n, d_a]
+    edge = ad.matmul(e, ad.gather_rows(p.w_score, edge_rows))  # [n*n, d_a]
+    hidden = ad.tanh(ad.pair_sum(src, tgt, edge))              # [n*n, d_a]
     flat = ad.matmul(hidden, ad.reshape(p.u, (p.u.shape[0], 1)))
     return ad.reshape(flat, (n, n))
 

@@ -1,10 +1,14 @@
 """Archive round-trips, byte determinism, and corruption errors."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from cn3.archive import (ArchiveError, FORMAT_VERSION, MAGIC, load_archive,
                          save_archive)
+from cn3.cli import entry
 from cn3.data import CLASSIFICATION, TAGGING, LabeledExample
 from cn3.model import Cn3Model, ModelConfig
 from cn3.synthetic import case_tagging, keyword_classification
@@ -130,3 +134,85 @@ class TestCorruption:
         p = tmp_path / "m.cn3"
         save_archive(m, str(p))
         assert p.read_bytes().startswith(MAGIC)
+
+
+def rewrite_header(path, edit):
+    """Apply edit to the archive's parsed header and write it back in place."""
+    blob = path.read_bytes()
+    start = len(MAGIC) + 8
+    (length,) = struct.unpack_from("<Q", blob, len(MAGIC))
+    header = edit(json.loads(blob[start:start + length]))
+    new = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    path.write_bytes(MAGIC + struct.pack("<Q", len(new)) + new
+                     + blob[start + length:])
+
+
+def without(*keys):
+    def edit(header):
+        node = header
+        for k in keys[:-1]:
+            node = node[k]
+        del node[keys[-1]]
+        return header
+    return edit
+
+
+def setting(*keys, value):
+    def edit(header):
+        node = header
+        for k in keys[:-1]:
+            node = node[k]
+        node[keys[-1]] = value
+        return header
+    return edit
+
+
+BAD_HEADERS = {
+    "no_vocabs": (without("vocabs"), "vocabs"),
+    "no_config": (without("config"), "config"),
+    "no_labels": (without("labels"), "labels"),
+    "no_tensors": (without("tensors"), "tensors"),
+    "unknown_config_key": (setting("config", "use_lstm2", value=True),
+                           "unknown key 'use_lstm2'"),
+    "config_wrong_type": (setting("config", "layers", value="two"), "layers"),
+    "config_bool_for_int": (setting("config", "d_h", value=True), "d_h"),
+    "config_bad_value": (setting("config", "task", value="parse"), "task"),
+    "vocabs_not_object": (setting("vocabs", value=[]), "vocabs"),
+    "no_word_vocab": (without("vocabs", "word"), "word"),
+    "char_vocab_not_strings": (setting("vocabs", "char", value=[1, 2]), "char"),
+    "labels_not_strings": (setting("labels", value="yes"), "labels"),
+    "tensor_entry_malformed": (setting("tensors", value=[{"name": 3}]),
+                               "tensor entry"),
+    "header_not_object": (lambda h: [h], "JSON object"),
+}
+
+
+class TestMalformedHeader:
+    @pytest.mark.parametrize("case", sorted(BAD_HEADERS))
+    def test_load_raises_archive_error(self, tmp_path, case):
+        edit, message = BAD_HEADERS[case]
+        m, _ = small_model()
+        p = tmp_path / "m.cn3"
+        save_archive(m, str(p))
+        rewrite_header(p, edit)
+        with pytest.raises(ArchiveError, match=message):
+            load_archive(str(p))
+
+    def test_rewrite_without_edit_still_loads(self, tmp_path):
+        m, data = small_model()
+        p = tmp_path / "m.cn3"
+        save_archive(m, str(p))
+        rewrite_header(p, lambda h: h)
+        assert load_archive(str(p)).loss_for(data[0]).item() == \
+            m.loss_for(data[0]).item()
+
+    @pytest.mark.parametrize("case", ["no_vocabs", "unknown_config_key"])
+    def test_eval_exits_2_with_error_line(self, tmp_path, capsys, case):
+        m, _ = small_model()
+        p = tmp_path / "m.cn3"
+        save_archive(m, str(p))
+        rewrite_header(p, BAD_HEADERS[case][0])
+        data = tmp_path / "d.tsv"
+        data.write_text("yes\ta b\n")
+        assert entry(["eval", "--archive", str(p), "--data", str(data)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")

@@ -288,6 +288,50 @@ class TestStructureOps:
             Tensor(np.zeros((0, 3)))
 
 
+def pair_operands(n, d, seed):
+    r = np.random.default_rng(seed)
+    return (Tensor(r.normal(size=(n, d)), requires_grad=True),
+            Tensor(r.normal(size=(n, d)), requires_grad=True),
+            Tensor(r.normal(size=(n * n, d)), requires_grad=True))
+
+
+class TestPairSum:
+    def test_matches_double_loop(self):
+        n, d = 4, 3
+        src, tgt, edge = pair_operands(n, d, 0)
+        want = np.zeros((n * n, d))
+        for i in range(n):
+            for k in range(n):
+                want[i * n + k] = src.data[i] + tgt.data[k] + edge.data[i * n + k]
+        got = ad.pair_sum(src, tgt, edge).data
+        assert got.shape == (n * n, d)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_gradients_of_all_operands(self, n):
+        src, tgt, edge = pair_operands(n, 2, n)
+        w = Tensor(np.random.default_rng(10 + n).normal(size=(n * n, 2)))
+
+        def f():
+            return ad.sum_all(ad.tanh(ad.pair_sum(src, tgt, edge)) * w)
+
+        assert ad.grad_check(f, [src, tgt, edge]) < 1e-6
+
+    def test_shape_mismatch(self):
+        src, tgt, edge = pair_operands(3, 2, 7)
+        with pytest.raises(ShapeError):
+            ad.pair_sum(src, Tensor(np.ones((2, 2))), edge)
+        with pytest.raises(ShapeError):
+            ad.pair_sum(src, Tensor(np.ones((3, 3))), edge)
+        with pytest.raises(ShapeError):
+            ad.pair_sum(src, tgt, Tensor(np.ones((8, 2))))
+        with pytest.raises(ShapeError):
+            ad.pair_sum(src, tgt, Tensor(np.ones((9, 3))))
+        with pytest.raises(ShapeError):
+            ad.pair_sum(Tensor(np.ones(3)), Tensor(np.ones(3)),
+                        Tensor(np.ones((9, 1))))
+
+
 class TestBackwardMachinery:
     def test_backward_requires_scalar(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)

@@ -65,6 +65,58 @@ class TestEdgeScores:
         want = scalar_scores(h.data, None, e.data, p)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
+    def test_matches_scalar_reimplementation_distinct_edges(self):
+        # Five tokens, and every pair's edge row differs from every other's,
+        # so a pair whose row were taken from the wrong (i, k) would show.
+        n = 5
+        p = init_layer(3, 2, 3, 4, rng(20))
+        h = Tensor(rng(21).normal(size=(n, 3)))
+        v = Tensor(rng(22).normal(size=(n, 2)))
+        e = Tensor(rng(23).normal(size=(n * n, 3)))
+        assert len({tuple(row) for row in e.data}) == n * n
+        got = edge_scores(h, v, e, p).data
+        want = scalar_scores(h.data, v.data, e.data, p)
+        np.testing.assert_allclose(got, want, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 4])
+    @pytest.mark.parametrize("with_v", [True, False])
+    def test_gradient_check(self, n, with_v):
+        d_v = 2 if with_v else 0
+        p = init_layer(3, d_v, 2, 3, rng(24))
+        h = Tensor(rng(25).normal(size=(n, 3)), requires_grad=True)
+        v = Tensor(rng(26).normal(size=(n, 2)), requires_grad=True) if with_v else None
+        e = Tensor(rng(27).normal(size=(n * n, 2)), requires_grad=True)
+        w = Tensor(rng(28).normal(size=(n, n)))
+        params = [h, e, p.w_score, p.u] + ([v] if with_v else [])
+
+        def f():
+            return ad.sum_all(edge_scores(h, v, e, p) * w)
+
+        assert ad.grad_check(f, params) < 1e-5
+
+    def test_no_pair_tensor_wider_than_d_a_on_tape(self):
+        # The scorer must not materialize [n*n, d_cat] or [n*n, d_h] pair
+        # blocks; every tensor it leaves on the tape with n*n rows is at
+        # most d_a wide.
+        n, d_h, d_v, d_e, d_a = 6, 8, 5, 2, 3
+        p = init_layer(d_h, d_v, d_e, d_a, rng(29))
+        h = Tensor(rng(30).normal(size=(n, d_h)), requires_grad=True)
+        v = Tensor(rng(31).normal(size=(n, d_v)), requires_grad=True)
+        e = Tensor(rng(32).normal(size=(n * n, d_e)), requires_grad=True)
+        inputs = {id(t) for t in (h, v, e, p.w_score, p.u)}
+        out = edge_scores(h, v, e, p)
+        seen, stack, pair_widths = {id(out)}, [out], []
+        while stack:
+            t = stack.pop()
+            if t.ndim == 2 and t.shape[0] == n * n:
+                pair_widths.append(t.shape[1])
+            for parent in t._parents:
+                if id(parent) not in seen | inputs:
+                    seen.add(id(parent))
+                    stack.append(parent)
+        assert pair_widths, "walk found no pair tensors"
+        assert max(pair_widths) <= d_a, pair_widths
+
     def test_shape_mismatch_rejected(self):
         p = init_layer(3, 2, 2, 4, rng(12))
         h = Tensor(rng(13).normal(size=(2, 3)))

@@ -6,18 +6,31 @@ lengths differ per example and the graph shape follows the data).
 ``backward`` walks the reachable graph in reverse topological order and
 accumulates gradients additively across fan-out.
 
+Inside a ``no_grad()`` block no tape is recorded: results have no
+parents and require no gradient, so intermediates are freed as soon as
+the caller drops them. Predictions and finite differences run there.
+
 Broadcasting is deliberately narrow: binary elementwise ops accept equal
 shapes, or a 2-D left operand with a row-vector right operand (bias add,
 row-wise gating). Everything else must match exactly. The one explicit
-pair broadcast is ``pair_sum``, which adds a per-source and a per-target
-row to every ordered pair's row; the pair scorer is built on it.
+pair broadcast is ``pair_scores``, the fused pair scorer: it adds a
+per-source row, a per-target row and a relation row for every ordered
+pair, applies tanh and projects onto a vector, in blocks of source rows.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+import contextlib
+import contextvars
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
+
+# Byte budget of one block of pair_scores' [rows * n, d] pre-activations,
+# small enough that a block's sums, tanh and projection stay in cache. At
+# n = 160, d = 100 on a 2-core x86 host, 0.5 to 2 MB timed alike and
+# 128 KB about a fifth slower.
+PAIR_BLOCK_BYTES = 1 << 19
 
 
 class ShapeError(ValueError):
@@ -88,11 +101,28 @@ def uniform(shape, lo: float, hi: float, rng: np.random.Generator,
     return Tensor(rng.uniform(lo, hi, size=shape), requires_grad)
 
 
+_GRAD_ENABLED = contextvars.ContextVar("cn3_grad_enabled", default=True)
+
+
+@contextlib.contextmanager
+def no_grad() -> Iterator[None]:
+    """Record no tape inside the block; results have no parents or gradient."""
+    token = _GRAD_ENABLED.set(False)
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED.reset(token)
+
+
+def _records(parents: Sequence[Tensor]) -> bool:
+    return _GRAD_ENABLED.get() and any(p.requires_grad for p in parents)
+
+
 def _result(data: np.ndarray, parents: tuple[Tensor, ...], op: str,
             backward: Callable[[np.ndarray], None]) -> Tensor:
     out = Tensor(data)
     out._op = op
-    if any(p.requires_grad for p in parents):
+    if _records(parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward
@@ -339,32 +369,93 @@ def gather_rows(x, ids: Iterable[int]) -> Tensor:
     return _result(x.data[idx], (x,), "gather_rows", back)
 
 
-def pair_sum(src, tgt, edge) -> Tensor:
-    """Every ordered pair's sum: row i*n + k is src[i] + tgt[k] + edge[i*n + k].
+def pair_scores(src, tgt, rel, rel_ids, u) -> Tensor:
+    """Score every ordered pair (i, k), source i and target k:
 
-    src and tgt are [n, d], edge is [n*n, d]. The result is built in one
-    buffer; the backward pass sums the incoming gradient over targets for
-    src and over sources for tgt.
+        s[i, k] = u . tanh(src[i] + tgt[k] + rel[rel_ids[i*n + k]])
+
+    src and tgt are [n, d], rel is [r, d] with one row per relation, rel_ids
+    holds n*n row ids of rel in row-major pair order, and u is [d]; the
+    result is [n, n].
+
+    Most pairs share one relation (no edge), so its row is added to tgt
+    once and only the pairs with another relation get their own sum. The
+    forward pass runs over blocks of source rows of about PAIR_BLOCK_BYTES
+    and writes each block's scores straight into the result. When a
+    backward pass can follow, the tanh output ([n*n, d]) is the one pair
+    array kept; otherwise one block buffer is reused and nothing of size
+    n*n*d outlives the call. The backward pass sums over targets for src,
+    over sources for tgt and per relation id for rel.
     """
-    src, tgt, edge = as_tensor(src), as_tensor(tgt), as_tensor(edge)
+    src, tgt, rel, u = (as_tensor(t) for t in (src, tgt, rel, u))
     if src.ndim != 2 or tgt.shape != src.shape:
-        raise ShapeError(f"pair_sum: src {src.shape} and tgt {tgt.shape} "
+        raise ShapeError(f"pair_scores: src {src.shape} and tgt {tgt.shape} "
                          "must be equal [n, d] matrices")
     n, d = src.shape
-    if edge.shape != (n * n, d):
-        raise ShapeError(f"pair_sum: edge {edge.shape}, expected {(n * n, d)}")
-    out = edge.data.reshape(n, n, d) + src.data[:, None, :]
-    out += tgt.data[None, :, :]
+    if rel.ndim != 2 or rel.shape[1] != d or u.shape != (d,):
+        raise ShapeError(f"pair_scores: rel {rel.shape} and u {u.shape} "
+                         f"must have width {d}")
+    ids = np.asarray(rel_ids, dtype=np.intp)
+    if ids.shape != (n * n,):
+        raise ShapeError(f"pair_scores: {ids.shape} relation ids for "
+                         f"{n} tokens, expected ({n * n},)")
+    if ids.min() < 0 or ids.max() >= rel.shape[0]:
+        raise IndexError(f"relation id out of range [0, {rel.shape[0]})")
+    parents = (src, tgt, rel, u)
+    keep = _records(parents)
+    common = int(np.bincount(ids).argmax())
+    other = np.flatnonzero(ids != common)
+    tgt_common = tgt.data + rel.data[common]
+    rows = max(1, PAIR_BLOCK_BYTES // (n * d * 8))
+    scores = np.empty((n, n))
+    flat_scores = scores.reshape(-1)
+    hidden = np.empty((n * n if keep else min(rows, n) * n, d))
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        first, last = lo * n, hi * n
+        block = hidden[first:last] if keep else hidden[:last - first]
+        np.add(src.data[lo:hi, None, :], tgt_common[None, :, :],
+               out=block.reshape(hi - lo, n, d))
+        pairs = other[np.searchsorted(other, first):np.searchsorted(other, last)]
+        if pairs.size:
+            block[pairs - first] = (src.data[pairs // n] + tgt.data[pairs % n]
+                                    + rel.data[ids[pairs]])
+        np.tanh(block, out=block)
+        np.dot(block, u.data, out=flat_scores[first:last])
 
     def back(g):
-        g3 = g.reshape(n, n, d)
-        if src.requires_grad:
-            _accum(src, g3.sum(axis=1))
-        if tgt.requires_grad:
-            _accum(tgt, g3.sum(axis=0))
-        _accum(edge, g)
+        g = g.reshape(-1)
+        gu = np.zeros(d)
+        gsrc = np.empty((n, d))
+        gtgt = np.zeros((n, d))
+        buf = np.empty((min(rows, n) * n, d))
+        for lo in range(0, n, rows):
+            hi = min(lo + rows, n)
+            first, last = lo * n, hi * n
+            h, g_block = hidden[first:last], g[first:last]
+            gu += g_block @ h
+            pre = buf[:last - first]
+            np.multiply(h, h, out=pre)
+            np.subtract(1.0, pre, out=pre)
+            pre *= g_block[:, None]
+            pre *= u.data
+            pre3 = pre.reshape(hi - lo, n, d)
+            pre3.sum(axis=1, out=gsrc[lo:hi])
+            gtgt += pre3.sum(axis=0)
+        # Per relation: every pair's pre-activation gradient sums to
+        # gsrc's column sums; the few pairs off the common relation move
+        # theirs to their own row.
+        grel = np.zeros_like(rel.data)
+        grel[common] = gsrc.sum(axis=0)
+        if other.size:
+            h = hidden[other]
+            pre = (1.0 - h * h) * g[other, None] * u.data
+            np.add.at(grel, ids[other], pre)
+            grel[common] -= pre.sum(axis=0)
+        for t, grad in ((src, gsrc), (tgt, gtgt), (rel, grel), (u, gu)):
+            _accum(t, grad)
 
-    return _result(out.reshape(n * n, d), (src, tgt, edge), "pair_sum", back)
+    return _result(scores, parents, "pair_scores", back)
 
 
 def take(x, flat_ids: Iterable[int]) -> Tensor:
@@ -524,7 +615,8 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor],
 
     ``f`` must rebuild its forward pass from the current parameter values on
     every call. Error is |analytic - numeric| / max(|analytic|, |numeric|, 1e-8)
-    maximized over every entry of every parameter.
+    maximized over every entry of every parameter. The finite differences
+    run under no_grad(), since they need only the loss value.
     """
     if not (0.0 < eps <= 1e-2):
         raise ValueError(f"eps must lie in (0, 1e-2], got {eps}")
@@ -542,10 +634,11 @@ def grad_check(f: Callable[[], Tensor], params: Sequence[Tensor],
         ga_flat = ga.reshape(-1)
         for i in range(flat.size):
             keep = flat[i]
-            flat[i] = keep + eps
-            up = f().item()
-            flat[i] = keep - eps
-            down = f().item()
+            with no_grad():
+                flat[i] = keep + eps
+                up = f().item()
+                flat[i] = keep - eps
+                down = f().item()
             flat[i] = keep
             numeric = (up - down) / (2.0 * eps)
             denom = max(abs(ga_flat[i]), abs(numeric), 1e-8)

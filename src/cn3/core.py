@@ -9,11 +9,12 @@ parameter sharing; node and edge attributes are computed once and reused.
 
 The pair scores are evaluated in factored form: the scorer's weight
 matrix is linear in each block of the pair's concatenated features, so
-each token is projected once as a source and once as a target, and only
-the edge attributes are projected per pair. A layer's scoring costs
-O(n*d_cat*d_a + n^2*(d_e + c)*d_a) instead of O(n^2*d_cat*d_a), where c
-is a small constant for the pair sum, tanh and the u projection; the
-scores, their orientation and the weight layout are unchanged.
+each token is projected once as a source and once as a target, and the
+relation table once; ``autodiff.pair_scores`` then adds the three rows
+for every pair, applies tanh and projects onto u, block by block. A
+layer's scoring costs O(n*d_cat*d_a + r*d_e*d_a + n^2*d_a) for r
+relations, instead of O(n^2*d_cat*d_a), and keeps one [n^2, d_a] array
+for the backward pass (none under ``autodiff.no_grad()``).
 
 Orientation conventions, fixed throughout: score matrix entry s[i][k] is
 source i, target k; normalization runs down each column (over sources);
@@ -30,6 +31,17 @@ from . import autodiff as ad
 from .autodiff import Tensor
 
 ALPHA_COLUMN_TOL = 1e-9
+
+
+@dataclass
+class EdgeAttrs:
+    """Edge attributes of a sentence: a relation table and a row id per pair.
+
+    ids[i*n + k] is the table row of ordered pair (i, k), row-major.
+    """
+
+    table: Tensor    # [r, d_e]
+    ids: np.ndarray  # [n*n] row ids of table
 
 
 @dataclass
@@ -90,41 +102,41 @@ def init_stack(d_h0: int, d_h: int, d_v: int, d_e: int, d_a: int, depth: int,
     return Cn3StackParams(layers=layers, input_proj=proj)
 
 
-def edge_scores(h: Tensor, v: Tensor | None, e: Tensor,
+def edge_scores(h: Tensor, v: Tensor | None, e: EdgeAttrs,
                 p: Cn3LayerParams) -> Tensor:
     """Score every ordered pair: s[i][k] = u . tanh([h_k, h_i, v_i, v_k, e_ik] @ W).
 
-    e holds one row per ordered pair in row-major order, pair (i, k) at
-    row i*n + k. A None v stands for a zero-width attribute block.
+    e_ik is row e.ids[i*n + k] of e.table. A None v stands for a
+    zero-width attribute block.
 
     W is linear in each block, so the product is evaluated in factored
     form: a source term [h_i, v_i] @ W_src and a target term
     [h_k, v_k] @ W_tgt, each computed once per token, plus an edge term
-    e_ik @ W_e per pair. The [n*n, d_cat] concatenation is never built;
-    the cost is O(n*d_cat*d_a + n^2*(d_e + c)*d_a) for a small constant c.
+    taken from the relation table projected once, e.table @ W_e. The
+    [n*n, d_cat] concatenation is never built; autodiff.pair_scores joins
+    the terms pair by pair.
     """
     n, d_h = h.shape
     d_v = 0 if v is None else v.shape[1]
     if v is not None and v.shape[0] != n:
         raise ad.ShapeError(f"v has {v.shape[0]} rows for {n} tokens")
-    if e.shape[0] != n * n:
-        raise ad.ShapeError(f"e has {e.shape[0]} rows, expected {n * n}")
+    if e.ids.shape != (n * n,):
+        raise ad.ShapeError(f"e has {e.ids.size} pair ids, expected {n * n}")
     d_cat = p.w_score.shape[0]
-    if e.ndim != 2 or 2 * d_h + 2 * d_v + e.shape[1] != d_cat:
-        raise ad.ShapeError(f"h {h.shape}, v width {d_v} and e {e.shape} do "
-                            f"not fill the {d_cat} rows of w_score")
+    if e.table.ndim != 2 or 2 * d_h + 2 * d_v + e.table.shape[1] != d_cat:
+        raise ad.ShapeError(f"h {h.shape}, v width {d_v} and relation table "
+                            f"{e.table.shape} do not fill the {d_cat} rows "
+                            "of w_score")
     # w_score row blocks, in order: h_k, h_i, v_i, v_k, e_ik.
     rows = np.arange(d_cat)
     src_rows = rows[d_h:2 * d_h + d_v]
     tgt_rows = np.concatenate([rows[:d_h], rows[2 * d_h + d_v:2 * d_h + 2 * d_v]])
     edge_rows = rows[2 * d_h + 2 * d_v:]
-    hv = h if v is None else ad.concat_cols([h, v])            # [n, d_h + d_v]
-    src = ad.matmul(hv, ad.gather_rows(p.w_score, src_rows))   # [n, d_a]
-    tgt = ad.matmul(hv, ad.gather_rows(p.w_score, tgt_rows))   # [n, d_a]
-    edge = ad.matmul(e, ad.gather_rows(p.w_score, edge_rows))  # [n*n, d_a]
-    hidden = ad.tanh(ad.pair_sum(src, tgt, edge))              # [n*n, d_a]
-    flat = ad.matmul(hidden, ad.reshape(p.u, (p.u.shape[0], 1)))
-    return ad.reshape(flat, (n, n))
+    hv = h if v is None else ad.concat_cols([h, v])                  # [n, d_h + d_v]
+    src = ad.matmul(hv, ad.gather_rows(p.w_score, src_rows))         # [n, d_a]
+    tgt = ad.matmul(hv, ad.gather_rows(p.w_score, tgt_rows))         # [n, d_a]
+    rel = ad.matmul(e.table, ad.gather_rows(p.w_score, edge_rows))   # [r, d_a]
+    return ad.pair_scores(src, tgt, rel, e.ids, p.u)
 
 
 def normalize_alpha(s: Tensor) -> Tensor:
@@ -153,7 +165,7 @@ def gated_update(h: Tensor, h_agg: Tensor, p: Cn3LayerParams) -> Tensor:
     return g * h_agg + one_minus_g * h
 
 
-def run_stack(h0: Tensor, v: Tensor | None, e: Tensor, stack: Cn3StackParams,
+def run_stack(h0: Tensor, v: Tensor | None, e: EdgeAttrs, stack: Cn3StackParams,
               tokens: list[str] | None = None) -> tuple[Tensor, AlphaTrace]:
     """Project h0 if configured, then apply every layer; collect each alpha.
 

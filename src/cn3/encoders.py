@@ -3,9 +3,10 @@
 Each sentence becomes a graph whose nodes carry the word embedding h0 plus
 an attribute vector v built from any of: a position embedding, a BiLSTM
 context vector, a max-pooled character convolution, a POS-tag embedding,
-and a spelling-class embedding. Edges carry a relation embedding per
-ordered pair, symmetric in the pair and falling back to a learned no-edge
-row (the relation table's pad row) for absent pairs and the diagonal.
+and a spelling-class embedding. Edges carry a relation id per ordered
+pair into the relation table, symmetric in the pair and falling back to
+a learned no-edge row (the table's pad row) for absent pairs and the
+diagonal; the scorer projects the table, not the n^2 pairs.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .core import EdgeAttrs
 from .embeddings import EmbeddingTable, lookup
 
 
@@ -220,11 +222,12 @@ def assemble_node_attrs(g: SentenceGraph,
     return h0, (ad.concat_cols(parts) if len(parts) > 1 else parts[0])
 
 
-def assemble_edge_attrs(g: SentenceGraph, rel_table: EmbeddingTable) -> Tensor:
-    """Edge attribute rows for every ordered pair, row-major: (i, j) at i*n + j.
+def assemble_edge_attrs(g: SentenceGraph, rel_table: EmbeddingTable) -> EdgeAttrs:
+    """The relation table and a table row id for every ordered pair.
 
-    Pairs match direction-insensitively; absent pairs and the diagonal use
-    the relation table's pad row, which acts as the learned no-edge vector.
+    Pair (i, j) is at position i*n + j. Pairs match direction-insensitively;
+    absent pairs and the diagonal take the relation table's pad row, which
+    acts as the learned no-edge vector.
     """
     n = g.n
     no_edge = rel_table.vocab.pad_id if rel_table.vocab is not None else 0
@@ -234,7 +237,7 @@ def assemble_edge_attrs(g: SentenceGraph, rel_table: EmbeddingTable) -> Tensor:
             continue
         ids[i * n + j] = rel
         ids[j * n + i] = rel
-    return lookup(rel_table, ids)
+    return EdgeAttrs(rel_table.weights, ids)
 
 
 def attr_width(params: EncoderParams) -> int:

@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import autodiff as ad
 from . import core, crf, data, embeddings, encoders, heads
 from .autodiff import Tensor
 
@@ -297,22 +298,29 @@ class Cn3Model:
         return heads.nll_of_class(log_probs, self._label_id(ex.label))
 
     def predict(self, ex: data.LabeledExample):
-        """Label string (classify/match) or tag string list (tag)."""
-        if self.cfg.task == "tag":
-            tags, _ = heads.node_crf_head(self._encode_example(ex), self.crf)
-            return [self.labels[t] for t in tags]
-        if self.cfg.task == "classify":
-            log_probs = heads.graph_pool_classify(self._encode_example(ex),
-                                                  self.classifier)
-        else:
-            h_a = self._encode_example(ex)
-            h_b = self._encode_side_b(ex)
-            log_probs = heads.pair_classify(h_a, h_b, self.classifier)
+        """Label string (classify/match) or tag string list (tag).
+
+        Runs under autodiff.no_grad(): a prediction records no tape.
+        """
+        with ad.no_grad():
+            if self.cfg.task == "tag":
+                tags, _ = heads.node_crf_head(self._encode_example(ex),
+                                              self.crf)
+                return [self.labels[t] for t in tags]
+            if self.cfg.task == "classify":
+                log_probs = heads.graph_pool_classify(
+                    self._encode_example(ex), self.classifier)
+            else:
+                h_a = self._encode_example(ex)
+                h_b = self._encode_side_b(ex)
+                log_probs = heads.pair_classify(h_a, h_b, self.classifier)
         return self.labels[int(np.argmax(log_probs.data))]
 
     def trace_for(self, tokens: Sequence[str],
                   pos_tags: Sequence[str] | None = None,
                   dep_edges: dict[tuple[int, int], str] | None = None,
                   ) -> core.AlphaTrace:
+        """Per-layer attention for one sentence, computed without a tape."""
         g = self.sentence_graph(tokens, pos_tags, dep_edges)
-        return self.encode(g, tokens=list(tokens))[1]
+        with ad.no_grad():
+            return self.encode(g, tokens=list(tokens))[1]

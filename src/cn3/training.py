@@ -32,7 +32,7 @@ EPS_DEFAULT = 1e-6
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss became non-finite; the model was reset to the last good state."""
+    """Training hit non-finite values; the model was reset to the last good state."""
 
 
 @dataclass
@@ -244,8 +244,10 @@ def train(model: Cn3Model, train_data: Sequence[LabeledExample],
 
     With a dev set the best-scoring epoch's parameters win and patience
     counts non-improving epochs; without one the final parameters stand.
-    On a non-finite loss the model is restored to the end of the last
-    completed epoch and TrainingDiverged is raised.
+    On divergence (a non-finite loss, or a NumericError from the loss or
+    the update, which non-finite values usually raise first) the model is
+    restored to the end of the last completed epoch and TrainingDiverged
+    is raised.
     """
     if not train_data:
         raise ValueError("empty training set")
@@ -262,15 +264,18 @@ def train(model: Cn3Model, train_data: Sequence[LabeledExample],
         example_count = 0
         for batch in make_batches(train_data, cfg.batch_size,
                                   _epoch_seed(cfg.seed, epoch)):
-            loss = _batch_loss(model, batch)
-            if not np.isfinite(loss.data):
+            try:
+                loss = _batch_loss(model, batch)
+                if not np.isfinite(loss.data):
+                    raise NumericError("non-finite loss")
+                ad.zero_grads([t for _, t in params])
+                ad.backward(loss)
+                adadelta_step(params, state, clip_norm=cfg.clip_norm)
+            except NumericError as exc:
                 model.restore(last_good)
                 raise TrainingDiverged(
-                    f"non-finite loss in epoch {epoch}; restored the "
-                    f"last completed epoch's parameters")
-            ad.zero_grads([t for _, t in params])
-            ad.backward(loss)
-            adadelta_step(params, state, clip_norm=cfg.clip_norm)
+                    f"{exc} in epoch {epoch}; restored the last completed "
+                    f"epoch's parameters") from exc
             loss_sum += float(loss.data) * len(batch.examples)
             example_count += len(batch.examples)
         record = {"epoch": epoch,

@@ -288,48 +288,92 @@ class TestStructureOps:
             Tensor(np.zeros((0, 3)))
 
 
-def pair_operands(n, d, seed):
+def pair_operands(n, d, seed, rels=3, ids="repeated"):
+    """src, tgt, rel, u as trainable tensors plus n*n relation ids.
+
+    "repeated" draws each pair's id from `rels` rows, so ids repeat;
+    "equal" gives every pair the same id.
+    """
     r = np.random.default_rng(seed)
-    return (Tensor(r.normal(size=(n, d)), requires_grad=True),
-            Tensor(r.normal(size=(n, d)), requires_grad=True),
-            Tensor(r.normal(size=(n * n, d)), requires_grad=True))
+    src, tgt = r.normal(size=(n, d)), r.normal(size=(n, d))
+    rel, u = r.normal(size=(rels, d)), r.normal(size=d)
+    rel_ids = (r.integers(0, rels, size=n * n) if ids == "repeated"
+               else np.full(n * n, rels - 1))
+    return ([Tensor(x, requires_grad=True) for x in (src, tgt, rel, u)],
+            rel_ids)
 
 
-class TestPairSum:
+def dense_pair_scores(src, tgt, rel, rel_ids, u):
+    n, d = src.shape
+    pre = src[:, None, :] + tgt[None, :, :] + rel[rel_ids].reshape(n, n, d)
+    return np.tanh(pre) @ u
+
+
+class TestPairScores:
     def test_matches_double_loop(self):
         n, d = 4, 3
-        src, tgt, edge = pair_operands(n, d, 0)
-        want = np.zeros((n * n, d))
+        (src, tgt, rel, u), ids = pair_operands(n, d, 0)
+        want = np.zeros((n, n))
         for i in range(n):
             for k in range(n):
-                want[i * n + k] = src.data[i] + tgt.data[k] + edge.data[i * n + k]
-        got = ad.pair_sum(src, tgt, edge).data
-        assert got.shape == (n * n, d)
+                pre = src.data[i] + tgt.data[k] + rel.data[ids[i * n + k]]
+                want[i, k] = np.tanh(pre) @ u.data
+        got = ad.pair_scores(src, tgt, rel, ids, u).data
+        assert got.shape == (n, n)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_gradients_of_all_operands(self, n):
-        src, tgt, edge = pair_operands(n, 2, n)
-        w = Tensor(np.random.default_rng(10 + n).normal(size=(n * n, 2)))
+        for ids_kind in ("repeated", "equal"):
+            operands, ids = pair_operands(n, 2, n, ids=ids_kind)
+            src, tgt, rel, u = operands
+            w = Tensor(np.random.default_rng(10 + n).normal(size=(n, n)))
 
-        def f():
-            return ad.sum_all(ad.tanh(ad.pair_sum(src, tgt, edge)) * w)
+            def f():
+                return ad.sum_all(ad.pair_scores(src, tgt, rel, ids, u) * w)
 
-        assert ad.grad_check(f, [src, tgt, edge]) < 1e-6
+            assert ad.grad_check(f, operands) < 1e-6, ids_kind
+
+    def test_many_blocks_match_dense_formula(self):
+        # At n = 200, d = 100 a block holds a few source rows, so the
+        # scores come from dozens of blocks; a few pairs take other
+        # relations than the common one, in several of the blocks.
+        n, d = 200, 100
+        assert ad.PAIR_BLOCK_BYTES < 8 * n * n * d // 10
+        (src, tgt, rel, u), _ = pair_operands(n, d, 5)
+        ids = np.zeros(n * n, dtype=np.intp)
+        picks = np.random.default_rng(6).choice(n * n, size=50, replace=False)
+        ids[picks] = 1 + picks % 2
+        got = ad.pair_scores(src, tgt, rel, ids, u).data
+        want = dense_pair_scores(src.data, tgt.data, rel.data, ids, u.data)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_no_grad_scores_bitwise_equal(self):
+        n, d = 70, 40
+        (src, tgt, rel, u), ids = pair_operands(n, d, 7)
+        taped = ad.pair_scores(src, tgt, rel, ids, u)
+        with ad.no_grad():
+            untaped = ad.pair_scores(src, tgt, rel, ids, u)
+        assert taped._parents and not untaped._parents
+        assert not untaped.requires_grad
+        np.testing.assert_array_equal(taped.data, untaped.data)
 
     def test_shape_mismatch(self):
-        src, tgt, edge = pair_operands(3, 2, 7)
+        (src, tgt, rel, u), ids = pair_operands(3, 2, 7)
         with pytest.raises(ShapeError):
-            ad.pair_sum(src, Tensor(np.ones((2, 2))), edge)
+            ad.pair_scores(src, tgt, rel, ids[:8], u)
         with pytest.raises(ShapeError):
-            ad.pair_sum(src, Tensor(np.ones((3, 3))), edge)
+            ad.pair_scores(src, tgt, rel, np.zeros((3, 3), dtype=np.intp), u)
         with pytest.raises(ShapeError):
-            ad.pair_sum(src, tgt, Tensor(np.ones((8, 2))))
+            ad.pair_scores(src, Tensor(np.ones((2, 2))), rel, ids, u)
         with pytest.raises(ShapeError):
-            ad.pair_sum(src, tgt, Tensor(np.ones((9, 3))))
+            ad.pair_scores(src, Tensor(np.ones((3, 3))), rel, ids, u)
         with pytest.raises(ShapeError):
-            ad.pair_sum(Tensor(np.ones(3)), Tensor(np.ones(3)),
-                        Tensor(np.ones((9, 1))))
+            ad.pair_scores(src, tgt, Tensor(np.ones((3, 3))), ids, u)
+        with pytest.raises(ShapeError):
+            ad.pair_scores(src, tgt, rel, ids, Tensor(np.ones(3)))
+        with pytest.raises(IndexError):
+            ad.pair_scores(src, tgt, rel, np.full(9, 3), u)
 
 
 class TestBackwardMachinery:
@@ -357,6 +401,15 @@ class TestBackwardMachinery:
         ad.backward(ad.sum_all(x * y))
         assert x.grad is None
         np.testing.assert_array_equal(y.grad, [1.0])
+
+    def test_no_grad_records_no_tape(self):
+        x = Tensor([[1.0, 2.0]], requires_grad=True)
+        with ad.no_grad():
+            y = ad.tanh(x * x)
+        assert y._parents == () and not y.requires_grad
+        np.testing.assert_array_equal(y.data, np.tanh(x.data * x.data))
+        z = ad.tanh(x * x)
+        assert z._parents and z.requires_grad
 
     def test_deep_chain_no_recursion_error(self):
         x = Tensor([[0.1]], requires_grad=True)

@@ -89,6 +89,24 @@ class TestTrain:
         assert entry(["train", "--config", str(cfg)]) == 3
         assert "non-finite" in capsys.readouterr().err
 
+    def test_numeric_error_in_training_exits_3(self, tmp_path, capsys,
+                                               monkeypatch):
+        # A weight poisoned after the first step: the next batch raises
+        # NumericError inside train(), which must surface as divergence.
+        from cn3 import training
+
+        real = training.adadelta_step
+
+        def poisoned_step(params, state, clip_norm=None):
+            real(params, state, clip_norm=clip_norm)
+            dict(params)["stack.layer0.u"].data[0] = np.inf
+
+        monkeypatch.setattr(training, "adadelta_step", poisoned_step)
+        cfg = write_classify_setup(tmp_path)
+        assert entry(["train", "--config", str(cfg)]) == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "model.cn3").exists()
+
     def test_tagging_train_runs(self, tmp_path):
         train, _ = case_tagging(n_train=8, n_test=2, seed=0)
         (tmp_path / "train.conll").write_text(serialize_conll(train))

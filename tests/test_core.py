@@ -6,8 +6,9 @@ import pytest
 from cn3 import autodiff as ad
 from cn3 import core
 from cn3.autodiff import NumericError, ShapeError, Tensor
-from cn3.core import (Cn3StackParams, aggregate, edge_scores, gated_update,
-                      init_layer, init_stack, normalize_alpha, run_stack)
+from cn3.core import (Cn3StackParams, EdgeAttrs, aggregate, edge_scores,
+                      gated_update, init_layer, init_stack, normalize_alpha,
+                      run_stack)
 
 
 def rng(seed=0):
@@ -15,11 +16,29 @@ def rng(seed=0):
 
 
 def constant_edges(n, d_e, value=0.05):
-    return Tensor(np.full((n * n, d_e), value))
+    """Every pair takes the one row of a one-row relation table."""
+    return EdgeAttrs(Tensor(np.full((1, d_e), value)),
+                     np.zeros(n * n, dtype=np.intp))
+
+
+def distinct_edges(n, d_e, seed):
+    """A relation table of n*n random rows, one per pair: ids = arange(n*n)."""
+    return EdgeAttrs(Tensor(rng(seed).normal(size=(n * n, d_e))),
+                     np.arange(n * n))
+
+
+def shared_edges(n, d_e, seed, rows=3):
+    """A trainable relation table of a few rows; pairs draw ids at random."""
+    r = rng(seed)
+    return EdgeAttrs(Tensor(r.normal(size=(rows, d_e)), requires_grad=True),
+                     r.integers(0, rows, size=n * n))
 
 
 def scalar_scores(h, v, e, p):
-    """Build each pair's concat vector explicitly; the slow reference."""
+    """Build each pair's concat vector explicitly; the slow reference.
+
+    e holds one row per ordered pair, row-major.
+    """
     n = h.shape[0]
     out = np.zeros((n, n))
     for i in range(n):
@@ -52,17 +71,17 @@ class TestEdgeScores:
         p = init_layer(3, 2, 2, 4, rng(5))
         h = Tensor(rng(6).normal(size=(2, 3)))
         v = Tensor(rng(7).normal(size=(2, 2)))
-        e = Tensor(rng(8).normal(size=(4, 2)))
+        e = distinct_edges(2, 2, 8)
         got = edge_scores(h, v, e, p).data
-        want = scalar_scores(h.data, v.data, e.data, p)
+        want = scalar_scores(h.data, v.data, e.table.data[e.ids], p)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_matches_scalar_reimplementation_without_v(self):
         p = init_layer(3, 0, 2, 4, rng(9))
         h = Tensor(rng(10).normal(size=(3, 3)))
-        e = Tensor(rng(11).normal(size=(9, 2)))
+        e = distinct_edges(3, 2, 11)
         got = edge_scores(h, None, e, p).data
-        want = scalar_scores(h.data, None, e.data, p)
+        want = scalar_scores(h.data, None, e.table.data[e.ids], p)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_matches_scalar_reimplementation_distinct_edges(self):
@@ -72,10 +91,10 @@ class TestEdgeScores:
         p = init_layer(3, 2, 3, 4, rng(20))
         h = Tensor(rng(21).normal(size=(n, 3)))
         v = Tensor(rng(22).normal(size=(n, 2)))
-        e = Tensor(rng(23).normal(size=(n * n, 3)))
-        assert len({tuple(row) for row in e.data}) == n * n
+        e = distinct_edges(n, 3, 23)
+        assert len({tuple(row) for row in e.table.data[e.ids]}) == n * n
         got = edge_scores(h, v, e, p).data
-        want = scalar_scores(h.data, v.data, e.data, p)
+        want = scalar_scores(h.data, v.data, e.table.data[e.ids], p)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 4])
@@ -85,9 +104,9 @@ class TestEdgeScores:
         p = init_layer(3, d_v, 2, 3, rng(24))
         h = Tensor(rng(25).normal(size=(n, 3)), requires_grad=True)
         v = Tensor(rng(26).normal(size=(n, 2)), requires_grad=True) if with_v else None
-        e = Tensor(rng(27).normal(size=(n * n, 2)), requires_grad=True)
+        e = shared_edges(n, 2, 27)
         w = Tensor(rng(28).normal(size=(n, n)))
-        params = [h, e, p.w_score, p.u] + ([v] if with_v else [])
+        params = [h, e.table, p.w_score, p.u] + ([v] if with_v else [])
 
         def f():
             return ad.sum_all(edge_scores(h, v, e, p) * w)
@@ -95,27 +114,25 @@ class TestEdgeScores:
         assert ad.grad_check(f, params) < 1e-5
 
     def test_no_pair_tensor_wider_than_d_a_on_tape(self):
-        # The scorer must not materialize [n*n, d_cat] or [n*n, d_h] pair
-        # blocks; every tensor it leaves on the tape with n*n rows is at
-        # most d_a wide.
+        # The scorer keeps its one [n*n, d_a] array inside pair_scores'
+        # backward; no tensor on the tape has a row per pair.
         n, d_h, d_v, d_e, d_a = 6, 8, 5, 2, 3
         p = init_layer(d_h, d_v, d_e, d_a, rng(29))
         h = Tensor(rng(30).normal(size=(n, d_h)), requires_grad=True)
         v = Tensor(rng(31).normal(size=(n, d_v)), requires_grad=True)
-        e = Tensor(rng(32).normal(size=(n * n, d_e)), requires_grad=True)
-        inputs = {id(t) for t in (h, v, e, p.w_score, p.u)}
+        e = shared_edges(n, d_e, 32)
+        inputs = {id(t) for t in (h, v, e.table, p.w_score, p.u)}
         out = edge_scores(h, v, e, p)
-        seen, stack, pair_widths = {id(out)}, [out], []
+        seen, stack, walked = {id(out)}, [out], 0
         while stack:
             t = stack.pop()
-            if t.ndim == 2 and t.shape[0] == n * n:
-                pair_widths.append(t.shape[1])
+            walked += 1
+            assert not (t.ndim == 2 and t.shape[0] == n * n), t
             for parent in t._parents:
                 if id(parent) not in seen | inputs:
                     seen.add(id(parent))
                     stack.append(parent)
-        assert pair_widths, "walk found no pair tensors"
-        assert max(pair_widths) <= d_a, pair_widths
+        assert walked > 1, "walk found no tape"
 
     def test_shape_mismatch_rejected(self):
         p = init_layer(3, 2, 2, 4, rng(12))
@@ -287,8 +304,8 @@ class TestRunStack:
         stack = init_stack(3, 3, 2, 2, 3, 2, rng(15))
         h0 = Tensor(rng(16).normal(size=(4, 3)), requires_grad=True)
         v = Tensor(rng(17).normal(size=(4, 2)), requires_grad=True)
-        e = Tensor(rng(18).normal(size=(16, 2)), requires_grad=True)
-        params = [h0, v, e] + core.layer_param_list(stack)
+        e = shared_edges(4, 2, 18)
+        params = [h0, v, e.table] + core.layer_param_list(stack)
 
         def f():
             out, _ = run_stack(h0, v, e, stack)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cn3 import autodiff as ad
+from cn3 import core
 from cn3 import embeddings as emb
 from cn3 import encoders as enc
 from cn3.autodiff import Tensor
@@ -264,35 +265,35 @@ class TestAssembleNodeAttrs:
 class TestAssembleEdgeAttrs:
     def test_no_edges_all_rows_equal_no_edge_row(self):
         p = encoder_params()
-        e = assemble_edge_attrs(graph(), p.rel_table).data
-        no_edge = p.rel_table.weights.data[p.rel_table.vocab.pad_id]
-        assert e.shape == (4, 3)
-        for row in e:
-            np.testing.assert_array_equal(row, no_edge)
+        e = assemble_edge_attrs(graph(), p.rel_table)
+        assert e.table is p.rel_table.weights
+        np.testing.assert_array_equal(e.ids, [p.rel_table.vocab.pad_id] * 4)
 
     def test_symmetric_and_row_major(self):
         p = encoder_params()
         rel = p.rel_table.vocab.id_of("nsubj")
         g = graph(words=(2, 3, 4), chars=((2,), (3,), (4,)), spells=(1, 1, 1),
                   edges={(0, 2): rel})
-        e = assemble_edge_attrs(g, p.rel_table).data
-        n = 3
-        np.testing.assert_array_equal(e[0 * n + 2], p.rel_table.weights.data[rel])
-        np.testing.assert_array_equal(e[2 * n + 0], p.rel_table.weights.data[rel])
+        e = assemble_edge_attrs(g, p.rel_table)
+        n, pad = 3, p.rel_table.vocab.pad_id
+        want = np.full(n * n, pad)
+        want[0 * n + 2] = want[2 * n + 0] = rel
+        np.testing.assert_array_equal(e.ids, want)
 
     def test_diagonal_is_no_edge_even_if_listed(self):
         p = encoder_params()
         rel = p.rel_table.vocab.id_of("det")
         g = graph(edges={(1, 1): rel})
-        e = assemble_edge_attrs(g, p.rel_table).data
-        no_edge = p.rel_table.weights.data[p.rel_table.vocab.pad_id]
-        np.testing.assert_array_equal(e[1 * 2 + 1], no_edge)
+        e = assemble_edge_attrs(g, p.rel_table)
+        assert e.ids[1 * 2 + 1] == p.rel_table.vocab.pad_id
 
     def test_gradients_flow_to_relation_table(self):
         p = encoder_params()
         rel = p.rel_table.vocab.id_of("nsubj")
         g = graph(edges={(0, 1): rel})
         e = assemble_edge_attrs(g, p.rel_table)
-        ad.backward(ad.sum_all(e))
+        layer = core.init_layer(2, 0, p.rel_table.dim, 3, rng(5))
+        h = Tensor(rng(6).normal(size=(g.n, 2)))
+        ad.backward(ad.sum_all(core.edge_scores(h, None, e, layer)))
         assert p.rel_table.weights.grad is not None
         assert np.any(p.rel_table.weights.grad[rel] != 0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cn3 import autodiff as ad
+from cn3 import crf
 from cn3.data import CLASSIFICATION, PAIR, TAGGING, LabeledExample
 from cn3.model import Cn3Model, ModelConfig
 from cn3.synthetic import (gradcheck_examples, gradcheck_objective,
@@ -28,6 +29,16 @@ def classify_data():
 def tagging_data():
     return [LabeledExample(kind=TAGGING, tokens=["a", "b", "c"],
                            tags=["O", "B-N", "I-N"])]
+
+
+def dep_tagging_data(n=6):
+    """One tagged sentence whose neighbours are joined by dependency edges."""
+    words = ["the", "Cat", "sat", "on", "a", "mat"]
+    tokens = [words[i % len(words)] for i in range(n)]
+    edges = {(i, i + 1): ("det" if i % 2 else "nsubj") for i in range(n - 1)}
+    return [LabeledExample(kind=TAGGING, tokens=tokens,
+                           tags=["O" if i % 3 else "B-N" for i in range(n)],
+                           dep_edges=edges)]
 
 
 def pair_data():
@@ -141,6 +152,34 @@ class TestForward:
         m = Cn3Model(tiny_cfg(use_lstm=True), classify_data())
         ex = classify_data()[0]
         assert m.loss_for(ex).item() == m.loss_for(ex).item()
+
+    def test_predict_leaves_no_tape(self):
+        m = Cn3Model(tiny_cfg(task="tag", use_lstm=True, use_char=True,
+                              use_dep=True), dep_tagging_data())
+        encoded = []
+        real = m._encode_example
+
+        def encode(ex):
+            encoded.append(real(ex))
+            return encoded[-1]
+
+        m._encode_example = encode
+        m.predict(dep_tagging_data()[0])
+        (h,) = encoded
+        assert h._parents == () and not h.requires_grad
+
+    def test_no_grad_emissions_bitwise_equal(self):
+        # d_a = 64 at 90 tokens puts the pair scorer over several blocks.
+        m = Cn3Model(tiny_cfg(task="tag", use_lstm=True, use_char=True,
+                              use_dep=True, d_a=64, max_len=128),
+                     dep_tagging_data(90))
+        ex = dep_tagging_data(90)[0]
+        g = m.sentence_graph(ex.tokens, ex.pos_tags, ex.dep_edges)
+        taped = crf.emission_scores(m.encode(g)[0], m.crf)
+        with ad.no_grad():
+            untaped = crf.emission_scores(m.encode(g)[0], m.crf)
+        assert taped._parents and not untaped._parents
+        np.testing.assert_array_equal(taped.data, untaped.data)
 
     def test_dep_edges_change_output_only_when_enabled(self):
         ex = LabeledExample(kind=CLASSIFICATION, tokens=["a", "b"], label="x",

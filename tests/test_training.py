@@ -197,6 +197,17 @@ class TestEvaluate:
             tr.evaluate(m, labelled, "token_accuracy")
 
 
+def poison_after_first_step(monkeypatch):
+    """Make every AdaDelta step leave layer 0's u[0] infinite."""
+    real = tr.adadelta_step
+
+    def step(params, state, clip_norm=None):
+        real(params, state, clip_norm=clip_norm)
+        dict(params)["stack.layer0.u"].data[0] = np.inf
+
+    monkeypatch.setattr(tr, "adadelta_step", step)
+
+
 def tiny_train_cfg(**overrides):
     base = dict(epochs=2, batch_size=2, seed=0)
     base.update(overrides)
@@ -250,6 +261,19 @@ class TestTrainLoop:
 
         m.loss_for = poisoned
         with pytest.raises(tr.TrainingDiverged):
+            tr.train(m, data, tiny_train_cfg(epochs=2))
+        after = m.snapshot()
+        assert all(before[k].tobytes() == after[k].tobytes() for k in before)
+
+    def test_numeric_error_restores_and_raises(self, monkeypatch):
+        # A weight poisoned after the first step makes the next batch's
+        # softmax raise NumericError; train() must treat that as divergence.
+        data = keyword_classification(n=4, seed=0)
+        m = Cn3Model(ModelConfig(task="classify", layers=1, d_word=4, d_h=4,
+                                 d_a=3, seed=0), data)
+        before = m.snapshot()
+        poison_after_first_step(monkeypatch)
+        with pytest.raises(tr.TrainingDiverged, match="non-finite"):
             tr.train(m, data, tiny_train_cfg(epochs=2))
         after = m.snapshot()
         assert all(before[k].tobytes() == after[k].tobytes() for k in before)

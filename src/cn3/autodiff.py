@@ -3,8 +3,14 @@
 Define-by-run: every operation records its parents and a backward closure
 on the result tensor, so each forward pass builds a fresh tape (sentence
 lengths differ per example and the graph shape follows the data).
-``backward`` walks the reachable graph in reverse topological order and
-accumulates gradients additively across fan-out.
+``backward`` walks the reachable graph in reverse topological order.
+
+Every backward pass delivers a gradient the same way, through ``_accum``:
+each tensor owns one gradient buffer, allocated on first use, and every
+contribution is added into it in place. The index ops (``gather_rows``,
+``take``, ``slice_cols``, ``max_rows``) share one primitive whose backward
+adds the incoming gradient at the index it read from, so repeated indices
+add up and nothing of the parent's size is built besides its one buffer.
 
 Inside a ``no_grad()`` block no tape is recorded: results have no
 parents and require no gradient, so intermediates are freed as soon as
@@ -129,12 +135,25 @@ def _result(data: np.ndarray, parents: tuple[Tensor, ...], op: str,
     return out
 
 
-def _accum(t: Tensor, g: np.ndarray) -> None:
+def _accum(t: Tensor, g: np.ndarray, at=None) -> None:
+    """Add g into t's one gradient buffer; with at, add at that index.
+
+    g broadcasts against t (or against t.grad[at]); indices repeated in at
+    add up.
+    """
     if not t.requires_grad:
         return
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
-    t.grad += g
+    if at is None:
+        t.grad += g
+    else:
+        np.add.at(t.grad, at, g)
+
+
+def _index(x: Tensor, at, op: str) -> Tensor:
+    """x.data[at]; the backward pass adds the gradient back in at at."""
+    return _result(x.data[at], (x,), op, lambda g: _accum(x, g, at))
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
@@ -298,9 +317,9 @@ def transpose(x) -> Tensor:
         raise ShapeError(f"transpose expects 2-D, got {x.shape}")
 
     def back(g):
-        _accum(x, np.ascontiguousarray(g.T))
+        _accum(x, g.T)
 
-    return _result(np.ascontiguousarray(x.data.T), (x,), "transpose", back)
+    return _result(x.data.T, (x,), "transpose", back)
 
 
 def reshape(x, shape) -> Tensor:
@@ -359,14 +378,7 @@ def gather_rows(x, ids: Iterable[int]) -> Tensor:
         raise ShapeError("gather_rows with no indices")
     if idx.min() < 0 or idx.max() >= x.shape[0]:
         raise IndexError(f"row id out of range [0, {x.shape[0]}): {idx.tolist()}")
-
-    def back(g):
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            np.add.at(gx, idx, g)
-            _accum(x, gx)
-
-    return _result(x.data[idx], (x,), "gather_rows", back)
+    return _index(x, idx, "gather_rows")
 
 
 def pair_scores(src, tgt, rel, rel_ids, u) -> Tensor:
@@ -385,7 +397,7 @@ def pair_scores(src, tgt, rel, rel_ids, u) -> Tensor:
     backward pass can follow, the tanh output ([n*n, d]) is the one pair
     array kept; otherwise one block buffer is reused and nothing of size
     n*n*d outlives the call. The backward pass sums over targets for src,
-    over sources for tgt and per relation id for rel.
+    over sources for tgt, and adds into rel at each pair's relation id.
     """
     src, tgt, rel, u = (as_tensor(t) for t in (src, tgt, rel, u))
     if src.ndim != 2 or tgt.shape != src.shape:
@@ -445,14 +457,14 @@ def pair_scores(src, tgt, rel, rel_ids, u) -> Tensor:
         # Per relation: every pair's pre-activation gradient sums to
         # gsrc's column sums; the few pairs off the common relation move
         # theirs to their own row.
-        grel = np.zeros_like(rel.data)
-        grel[common] = gsrc.sum(axis=0)
+        g_common = gsrc.sum(axis=0)
         if other.size:
             h = hidden[other]
             pre = (1.0 - h * h) * g[other, None] * u.data
-            np.add.at(grel, ids[other], pre)
-            grel[common] -= pre.sum(axis=0)
-        for t, grad in ((src, gsrc), (tgt, gtgt), (rel, grel), (u, gu)):
+            _accum(rel, pre, ids[other])
+            g_common -= pre.sum(axis=0)
+        _accum(rel, g_common, common)
+        for t, grad in ((src, gsrc), (tgt, gtgt), (u, gu)):
             _accum(t, grad)
 
     return _result(scores, parents, "pair_scores", back)
@@ -461,33 +473,21 @@ def pair_scores(src, tgt, rel, rel_ids, u) -> Tensor:
 def take(x, flat_ids: Iterable[int]) -> Tensor:
     """Pick elements by flat (row-major) index into a 1-D result."""
     x = as_tensor(x)
+    if x.ndim == 0:
+        raise ShapeError("take from a 0-d tensor")
     idx = np.asarray(list(flat_ids), dtype=np.intp)
     if idx.size == 0:
         raise ShapeError("take with no indices")
     if idx.min() < 0 or idx.max() >= x.data.size:
         raise IndexError(f"flat id out of range [0, {x.data.size}): {idx.tolist()}")
-
-    def back(g):
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            np.add.at(gx.reshape(-1), idx, g)
-            _accum(x, gx)
-
-    return _result(x.data.reshape(-1)[idx], (x,), "take", back)
+    return _index(x, np.unravel_index(idx, x.shape), "take")
 
 
 def slice_cols(x, start: int, stop: int) -> Tensor:
     x = as_tensor(x)
     if x.ndim != 2 or not (0 <= start < stop <= x.shape[1]):
         raise ShapeError(f"slice_cols [{start}:{stop}] invalid for shape {x.shape}")
-
-    def back(g):
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            gx[:, start:stop] = g
-            _accum(x, gx)
-
-    return _result(np.ascontiguousarray(x.data[:, start:stop]), (x,), "slice_cols", back)
+    return _index(x, (slice(None), slice(start, stop)), "slice_cols")
 
 
 # ---------------------------------------------------------------------------
@@ -537,20 +537,9 @@ def mean_rows(x) -> Tensor:
     m = x.shape[0]
 
     def back(g):
-        _accum(x, np.broadcast_to(g / m, x.shape).copy())
+        _accum(x, g / m)
 
     return _result(x.data.mean(axis=0), (x,), "mean_rows", back)
-
-
-def sum_rows(x) -> Tensor:
-    x = as_tensor(x)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ShapeError(f"sum_rows expects a non-empty 2-D tensor, got {x.shape}")
-
-    def back(g):
-        _accum(x, np.broadcast_to(g, x.shape).copy())
-
-    return _result(x.data.sum(axis=0), (x,), "sum_rows", back)
 
 
 def max_rows(x) -> Tensor:
@@ -558,16 +547,7 @@ def max_rows(x) -> Tensor:
     x = as_tensor(x)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ShapeError(f"max_rows expects a non-empty 2-D tensor, got {x.shape}")
-    arg = x.data.argmax(axis=0)
-    cols = np.arange(x.shape[1])
-
-    def back(g):
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            gx[arg, cols] = g
-            _accum(x, gx)
-
-    return _result(x.data[arg, cols], (x,), "max_rows", back)
+    return _index(x, (x.data.argmax(axis=0), np.arange(x.shape[1])), "max_rows")
 
 
 def logsumexp_row(x) -> Tensor:
@@ -596,7 +576,7 @@ def sum_all(x) -> Tensor:
     x = as_tensor(x)
 
     def back(g):
-        _accum(x, np.full_like(x.data, float(g)))
+        _accum(x, g)
 
     return _result(np.float64(x.data.sum()), (x,), "sum_all", back)
 

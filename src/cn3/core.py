@@ -156,13 +156,13 @@ def aggregate(alpha: Tensor, h: Tensor) -> Tensor:
 def gated_update(h: Tensor, h_agg: Tensor, p: Cn3LayerParams) -> Tensor:
     """Blend: g = sigmoid(h @ W_gate + b_gate), out = g*h_agg + (1-g)*h.
 
-    The gate reads the current state h, not the aggregate.
+    The gate reads the current state h, not the aggregate. The blend is
+    computed as h + g*(h_agg - h), the same value in three ops.
     """
     if h.shape != h_agg.shape:
         raise ad.ShapeError(f"state {h.shape} and aggregate {h_agg.shape} differ")
     g = ad.sigmoid(ad.matmul(h, p.w_gate) + p.b_gate)
-    one_minus_g = Tensor(np.ones(g.shape)) - g
-    return g * h_agg + one_minus_g * h
+    return h + g * (h_agg - h)
 
 
 def run_stack(h0: Tensor, v: Tensor | None, e: EdgeAttrs, stack: Cn3StackParams,

@@ -105,6 +105,11 @@ def parse_conll(path, token_col: int = 0, tag_col: int = 2,
     """
     if tag_scheme not in ("bio", "iob1"):
         raise DataError(f"unknown tag scheme {tag_scheme!r}")
+    for name, col in (("token_col", token_col), ("tag_col", tag_col),
+                      ("pos_col", pos_col)):
+        if col is not None and col < 0:
+            raise DataError(f"{name} must be a non-negative column index, "
+                            f"got {col}")
     need = max(token_col, tag_col, pos_col if pos_col is not None else 0) + 1
     examples: list[LabeledExample] = []
     tokens: list[str] = []

@@ -190,8 +190,7 @@ def bilstm_context(word_vecs: Tensor, params: BiLstmParams) -> Tensor:
     """Concatenate left-to-right and right-to-left LSTM states per position."""
     fwd = _lstm_direction(word_vecs, params.forward, reverse=False)
     bwd = _lstm_direction(word_vecs, params.backward, reverse=True)
-    rows = [ad.concat_cols([f, b]) for f, b in zip(fwd, bwd)]
-    return ad.concat_rows(rows) if len(rows) > 1 else rows[0]
+    return ad.concat_cols([ad.concat_rows(fwd), ad.concat_rows(bwd)])
 
 
 def assemble_node_attrs(g: SentenceGraph,

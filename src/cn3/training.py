@@ -219,6 +219,13 @@ class TrainConfig:
         if self.epochs < 1 or self.batch_size < 1 or self.patience < 0:
             raise ValueError("epochs and batch_size must be positive, "
                              "patience non-negative")
+        if not 0.0 < self.rho < 1.0:
+            raise ValueError(f"rho must lie in (0, 1), got {self.rho}")
+        if not self.eps > 0.0:
+            raise ValueError(f"eps must be positive, got {self.eps}")
+        if self.clip_norm is not None and not self.clip_norm > 0.0:
+            raise ValueError(f"clip_norm must be positive or none, "
+                             f"got {self.clip_norm}")
         if self.metric not in METRICS:
             raise ValueError(f"metric must be one of {METRICS}, "
                              f"got {self.metric!r}")

@@ -118,6 +118,29 @@ class TestTrain:
         assert entry(["train", "--config", str(cfg)]) == 0
         assert (tmp_path / "model.cn3").exists()
 
+    @pytest.mark.parametrize("key,value", [
+        ("clip_norm", -1), ("rho", 1.5), ("eps", 0)])
+    def test_nonsensical_optimizer_exits_2(self, tmp_path, capsys, key, value):
+        cfg = write_classify_setup(tmp_path, **{key: value})
+        assert entry(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
+        assert not (tmp_path / "model.cn3").exists()
+
+    def test_negative_column_exits_2(self, tmp_path, capsys):
+        train, _ = case_tagging(n_train=4, n_test=1, seed=0)
+        (tmp_path / "train.conll").write_text(serialize_conll(train))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("task = tag\ntrain_path = train.conll\n"
+                       "token_col = -1\ntag_col = 1\nlayers = 1\n"
+                       "d_word = 6\nd_h = 6\nd_a = 4\n"
+                       "epochs = 1\nmetric = token_accuracy\n")
+        assert entry(["train", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert "token_col" in err[0]
+        assert not (tmp_path / "model.cn3").exists()
+
     def test_tagging_dev_set_scored_by_token_accuracy(self, tmp_path):
         # with no metric key a tag run must still score its dev set; an
         # accuracy score of 0.0 every epoch would keep epoch 0's weights

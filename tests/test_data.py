@@ -62,6 +62,17 @@ class TestParseConll:
         ex = parse_conll(p, token_col=0, tag_col=2, pos_col=1)
         assert ex[0].pos_tags == ["PRP", "VBZ"]
 
+    @pytest.mark.parametrize("cols", [
+        {"token_col": -1}, {"tag_col": -1}, {"pos_col": -3}])
+    def test_negative_column_rejected(self, tmp_path, cols):
+        # a negative index would count from the end of the row: with
+        # token_col = -1 every token would silently be its tag
+        p = tmp_path / "f.conll"
+        p.write_text(CONLL_SAMPLE)
+        name = next(iter(cols))
+        with pytest.raises(DataError, match=name):
+            parse_conll(p, **cols)
+
     def test_iob1_conversion_at_ingestion(self, tmp_path):
         p = tmp_path / "f.conll"
         p.write_text("a X I-NP\nb X I-NP\nc X O\nd X I-VP\n\n")

@@ -162,6 +162,17 @@ class TestLookup:
         ad.backward(ad.sum_all(lookup(t, [2])))
         assert np.all(t.weights.grad[0] == 0) and np.all(t.weights.grad[3] == 0)
 
+    def test_table_gradient_matches_dense_reference(self):
+        v = build_vocab([["a", "b", "c", "d", "e"]])
+        t = table_for(v, 4, np.random.default_rng(6))
+        ids = [3, 5, 3, 2, 3]
+        w = np.random.default_rng(7).normal(size=(len(ids), 4))
+        ad.backward(ad.sum_all(lookup(t, ids) * Tensor(w)))
+        one_hot = np.eye(len(v))[ids]                      # [k, V]
+        np.testing.assert_allclose(t.weights.grad, one_hot.T @ w, atol=1e-12)
+        untouched = sorted(set(range(len(v))) - set(ids))
+        assert np.all(t.weights.grad[untouched] == 0.0)
+
     def test_frozen_table_gets_no_grad(self):
         v = build_vocab([["a"]])
         t = table_for(v, 2, np.random.default_rng(4), trainable=False)

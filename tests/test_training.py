@@ -318,6 +318,20 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             tr.TrainConfig(patience=-1)
 
+    @pytest.mark.parametrize("field,value", [
+        ("clip_norm", -1.0), ("clip_norm", 0.0), ("clip_norm", math.nan),
+        ("rho", 0.0), ("rho", 1.0), ("rho", 1.5), ("rho", math.nan),
+        ("eps", 0.0), ("eps", -1e-6), ("eps", math.nan)])
+    def test_nonsensical_optimizer_rejected(self, field, value):
+        # a negative clip_norm flips the update's sign: training climbs the loss
+        with pytest.raises(ValueError, match=field):
+            tr.TrainConfig(**{field: value})
+
+    def test_sensible_optimizer_accepted(self):
+        cfg = tr.TrainConfig(clip_norm=5.0, rho=0.5, eps=1e-8)
+        assert (cfg.clip_norm, cfg.rho, cfg.eps) == (5.0, 0.5, 1e-8)
+        assert tr.TrainConfig(clip_norm=None).clip_norm is None
+
 
 class TestGridSearch:
     def test_single_cell(self):

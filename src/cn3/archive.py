@@ -151,6 +151,8 @@ def load_archive(path: str) -> Cn3Model:
         if len(blob) < offset + nbytes:
             raise ArchiveError(f"{path} is truncated inside tensor {name}")
         values = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
+        if not np.all(np.isfinite(values)):
+            raise ArchiveError(f"{path} holds non-finite values in tensor {name}")
         t.data[...] = values.reshape(shape)
         offset += nbytes
     if offset != len(blob):

@@ -1,8 +1,9 @@
 """Command-line surface: train, eval, export-structure, grad-check.
 
 Exit codes: 0 success, 1 failed gradient check, 2 bad configuration or
-input, 3 training divergence. The CN3_SEED environment variable beats the
---seed flag, which beats the seed in the config file.
+input, 3 training divergence (the completed epochs' history is still
+written). The CN3_SEED environment variable beats the --seed flag, which
+beats the seed in the config file.
 """
 
 from __future__ import annotations
@@ -74,6 +75,13 @@ def trace_to_dot(trace: AlphaTrace, threshold: float) -> str:
 # ---------------------------------------------------------------------------
 # commands
 
+def _write_history(path: str, history: list[dict]) -> None:
+    """One JSON object per completed epoch, one per line."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in history:
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
+
+
 def cmd_train(args) -> int:
     cfg = resolve_seed(parse_config(args.config), args.seed)
     if cfg.train_path is None:
@@ -87,11 +95,10 @@ def cmd_train(args) -> int:
     try:
         history = tr.train(model, train_data, cfg.train, dev_data=dev_data)
     except tr.TrainingDiverged as exc:
+        _write_history(cfg.history_path, exc.history)
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    with open(cfg.history_path, "w", encoding="utf-8") as fh:
-        for row in history:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+    _write_history(cfg.history_path, history)
     save_archive(model, cfg.archive_path)
     print(f"saved archive to {cfg.archive_path} "
           f"({len(history)} epochs, history in {cfg.history_path})")

@@ -30,8 +30,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 
-ALPHA_COLUMN_TOL = 1e-9
-
 
 @dataclass
 class EdgeAttrs:
@@ -61,10 +59,6 @@ class Cn3StackParams:
     layers: list[Cn3LayerParams]
     input_proj: Tensor | None = None  # [d_h0, d_h], used once before layer 1
 
-    @property
-    def depth(self) -> int:
-        return len(self.layers)
-
 
 @dataclass
 class AlphaTrace:
@@ -72,14 +66,6 @@ class AlphaTrace:
 
     tokens: list[str]
     per_layer: list[Tensor]
-
-    def column_sums_ok(self, tol: float = ALPHA_COLUMN_TOL) -> bool:
-        n = len(self.tokens)
-        for alpha in self.per_layer:
-            sums = alpha.data.sum(axis=0)
-            if alpha.data.shape != (n, n) or np.any(np.abs(sums - 1.0) > tol):
-                return False
-        return True
 
 
 def init_layer(d_h: int, d_v: int, d_e: int, d_a: int,
@@ -182,13 +168,3 @@ def run_stack(h0: Tensor, v: Tensor | None, e: EdgeAttrs, stack: Cn3StackParams,
     if tokens is None:
         tokens = [str(i) for i in range(h0.shape[0])]
     return h, AlphaTrace(tokens=tokens, per_layer=alphas)
-
-
-def layer_param_list(stack: Cn3StackParams) -> list[Tensor]:
-    """All trainable tensors in the stack, in a stable order."""
-    out: list[Tensor] = []
-    if stack.input_proj is not None:
-        out.append(stack.input_proj)
-    for layer in stack.layers:
-        out.extend([layer.w_score, layer.u, layer.w_gate, layer.b_gate])
-    return out

@@ -249,34 +249,6 @@ def label_set(examples: Iterable[LabeledExample]) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# serialization (canonical forms; parse(serialize(parse(x))) == parse(x))
-
-def serialize_conll(examples: Sequence[LabeledExample]) -> str:
-    has_pos = examples[0].pos_tags is not None if examples else False
-    lines: list[str] = []
-    for ex in examples:
-        if (ex.pos_tags is not None) != has_pos:
-            raise DataError("cannot mix examples with and without pos tags")
-        for i, tok in enumerate(ex.tokens):
-            if has_pos:
-                lines.append(f"{tok} {ex.pos_tags[i]} {ex.tags[i]}")
-            else:
-                lines.append(f"{tok} {ex.tags[i]}")
-        lines.append("")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def serialize_classification_tsv(examples: Sequence[LabeledExample]) -> str:
-    return "".join(f"{ex.label}\t{' '.join(ex.tokens)}\n" for ex in examples)
-
-
-def serialize_pairs(examples: Sequence[LabeledExample]) -> str:
-    return "".join(
-        f"{ex.label}\t{' '.join(ex.tokens)}\t{' '.join(ex.tokens_b)}\n"
-        for ex in examples)
-
-
-# ---------------------------------------------------------------------------
 # batching
 
 @dataclass
@@ -304,16 +276,3 @@ def make_batches(examples: Sequence[LabeledExample], batch_size: int,
     return [Batch(examples=[examples[i] for i in chunks[c]],
                   indices=[int(i) for i in chunks[c]])
             for c in order]
-
-
-def restore_order(batches: Sequence[Batch], total: int) -> list[LabeledExample]:
-    """Undo make_batches: place every example back at its original index."""
-    out: list[LabeledExample | None] = [None] * total
-    for b in batches:
-        for ex, idx in zip(b.examples, b.indices):
-            if out[idx] is not None:
-                raise ValueError(f"index {idx} appears twice across batches")
-            out[idx] = ex
-    if any(e is None for e in out):
-        raise ValueError("batches do not cover every original index")
-    return out  # type: ignore[return-value]

@@ -74,14 +74,8 @@ class Vocabulary:
         return [self.id_of(t) for t in tokens]
 
 
-def _tokens_of(sentence) -> list[str]:
-    # Accept both pre-tokenized sequences and whitespace-joined strings.
-    if isinstance(sentence, str):
-        return sentence.split()
-    return list(sentence)
-
-
-def build_vocab(corpus: Iterable, min_count: int = 1) -> Vocabulary:
+def build_vocab(corpus: Iterable[Sequence[str]],
+                min_count: int = 1) -> Vocabulary:
     """Collect tokens seen at least min_count times, in first-occurrence order."""
     if min_count < 1:
         raise ValueError(f"min_count must be >= 1, got {min_count}")
@@ -91,7 +85,7 @@ def build_vocab(corpus: Iterable, min_count: int = 1) -> Vocabulary:
     empty = True
     for sentence in corpus:
         empty = False
-        for tok in _tokens_of(sentence):
+        for tok in sentence:
             counts[tok] += 1
             if tok not in seen:
                 seen.add(tok)
@@ -173,9 +167,12 @@ def load_glove(path, vocab: Vocabulary, d: int, rng: np.random.Generator,
             if row is None:
                 continue
             try:
-                weights[row] = [float(v) for v in values]
+                vector = np.array(values, dtype=np.float64)
             except ValueError as exc:
                 raise GloveParseError(f"line {lineno}: {exc}") from None
+            if not np.all(np.isfinite(vector)):
+                raise GloveParseError(f"line {lineno}: non-finite value")
+            weights[row] = vector
     weights[vocab.pad_id] = 0.0
     return EmbeddingTable(Tensor(weights, requires_grad=trainable),
                           vocab=vocab, trainable=trainable)

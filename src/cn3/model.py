@@ -269,13 +269,20 @@ class Cn3Model:
         e = encoders.assemble_edge_attrs(g, self.encoder.rel_table)
         return core.run_stack(h0, v, e, self.stack, tokens=tokens)
 
-    def _encode_example(self, ex: data.LabeledExample) -> Tensor:
-        g = self.sentence_graph(ex.tokens, ex.pos_tags, ex.dep_edges)
-        return self.encode(g)[0]
+    def _side(self, tokens: Sequence[str], pos_tags: Sequence[str] | None,
+              dep_edges: dict[tuple[int, int], str]) -> Tensor:
+        """Final node states of one sentence."""
+        return self.encode(self.sentence_graph(tokens, pos_tags, dep_edges))[0]
 
-    def _encode_side_b(self, ex: data.LabeledExample) -> Tensor:
-        g = self.sentence_graph(ex.tokens_b, ex.pos_tags_b, ex.dep_edges_b)
-        return self.encode(g)[0]
+    def _forward(self, ex: data.LabeledExample) -> Tensor:
+        """Final node states (tag) or class log-probabilities (classify, match)."""
+        h = self._side(ex.tokens, ex.pos_tags, ex.dep_edges)
+        if self.cfg.task == "tag":
+            return h
+        if self.cfg.task == "classify":
+            return heads.graph_pool_classify(h, self.classifier)
+        h_b = self._side(ex.tokens_b, ex.pos_tags_b, ex.dep_edges_b)
+        return heads.pair_classify(h, h_b, self.classifier)
 
     def _label_id(self, label: str) -> int:
         if label not in self.label_index:
@@ -284,18 +291,11 @@ class Cn3Model:
 
     def loss_for(self, ex: data.LabeledExample) -> Tensor:
         """Scalar training loss for one example."""
-        if self.cfg.task == "classify":
-            log_probs = heads.graph_pool_classify(self._encode_example(ex),
-                                                  self.classifier)
-            return heads.nll_of_class(log_probs, self._label_id(ex.label))
+        out = self._forward(ex)
         if self.cfg.task == "tag":
             gold = [self._label_id(t) for t in ex.tags]
-            return heads.node_crf_head(self._encode_example(ex), self.crf,
-                                       gold=gold)
-        h_a = self._encode_example(ex)
-        h_b = self._encode_side_b(ex)
-        log_probs = heads.pair_classify(h_a, h_b, self.classifier)
-        return heads.nll_of_class(log_probs, self._label_id(ex.label))
+            return heads.node_crf_head(out, self.crf, gold=gold)
+        return heads.nll_of_class(out, self._label_id(ex.label))
 
     def predict(self, ex: data.LabeledExample):
         """Label string (classify/match) or tag string list (tag).
@@ -303,18 +303,11 @@ class Cn3Model:
         Runs under autodiff.no_grad(): a prediction records no tape.
         """
         with ad.no_grad():
+            out = self._forward(ex)
             if self.cfg.task == "tag":
-                tags, _ = heads.node_crf_head(self._encode_example(ex),
-                                              self.crf)
+                tags, _ = heads.node_crf_head(out, self.crf)
                 return [self.labels[t] for t in tags]
-            if self.cfg.task == "classify":
-                log_probs = heads.graph_pool_classify(
-                    self._encode_example(ex), self.classifier)
-            else:
-                h_a = self._encode_example(ex)
-                h_b = self._encode_side_b(ex)
-                log_probs = heads.pair_classify(h_a, h_b, self.classifier)
-        return self.labels[int(np.argmax(log_probs.data))]
+        return self.labels[int(np.argmax(out.data))]
 
     def trace_for(self, tokens: Sequence[str],
                   pos_tags: Sequence[str] | None = None,

@@ -1,12 +1,10 @@
-"""Synthetic corpora for overfit, learnability, and depth-effect checks.
+"""Synthetic corpora for overfit and depth-effect checks, and the fixed
+examples and objective of the gradient check.
 
-Three task families:
+Two task families:
 
 * keyword classification: the class is decided by which of two marker
   words appears in the sentence;
-* case tagging: the tag of every token says whether it starts uppercase,
-  and casing is tied to disjoint word types so the mapping is learnable
-  from word identity alone;
 * first-last pairing: the class says whether a sentence's first and last
   tokens are the same word, with a constant filler between them. A linear
   classifier over mean-pooled embeddings provably cannot exceed 75 percent
@@ -22,10 +20,6 @@ from . import autodiff as ad
 from .data import CLASSIFICATION, PAIR, TAGGING, LabeledExample
 
 _FILLERS = ["mira", "tolo", "veku", "sana", "piro", "lemu", "kadi", "rofu"]
-_UPPER_TYPES = ["Kala", "Rono", "Tibe", "Musa", "Vedo", "Lira", "Pemo",
-                "Saku", "Noli", "Bexa", "Fomi", "Gura"]
-_LOWER_TYPES = ["dren", "olpa", "situ", "wemo", "yalo", "cupi", "hode",
-                "jevi", "zumi", "aski", "eblo", "ifra"]
 
 
 def keyword_classification(n: int = 20, seed: int = 0) -> list[LabeledExample]:
@@ -40,26 +34,6 @@ def keyword_classification(n: int = 20, seed: int = 0) -> list[LabeledExample]:
         out.append(LabeledExample(kind=CLASSIFICATION, tokens=tokens,
                                   label=label))
     return out
-
-
-def case_tagging(n_train: int = 500, n_test: int = 100, seed: int = 0,
-                 ) -> tuple[list[LabeledExample], list[LabeledExample]]:
-    """Tag U/L = token starts uppercase; casing follows the word type."""
-    rng = np.random.default_rng(seed)
-
-    def sentence() -> LabeledExample:
-        length = int(rng.integers(4, 9))
-        tokens = []
-        for _ in range(length):
-            if rng.random() < 0.5:
-                tokens.append(str(rng.choice(_UPPER_TYPES)))
-            else:
-                tokens.append(str(rng.choice(_LOWER_TYPES)))
-        tags = ["U" if t[0].isupper() else "L" for t in tokens]
-        return LabeledExample(kind=TAGGING, tokens=tokens, tags=tags)
-
-    return ([sentence() for _ in range(n_train)],
-            [sentence() for _ in range(n_test)])
 
 
 def first_last_pairing(n: int = 64, length: int = 20, seed: int = 0,

@@ -1,4 +1,4 @@
-"""AdaDelta optimization, the epoch loop, metrics, and grid search.
+"""AdaDelta optimization, the epoch loop, and metrics.
 
 The optimizer follows Zeiler's published update exactly (rho 0.95,
 epsilon 1e-6): decaying averages of squared gradients and squared updates
@@ -14,11 +14,10 @@ F1 = 1.0; zero predicted spans against a non-empty gold set count as 0.0.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,7 +31,14 @@ EPS_DEFAULT = 1e-6
 
 
 class TrainingDiverged(RuntimeError):
-    """Training hit non-finite values; the model was reset to the last good state."""
+    """Training hit non-finite values; the model was reset to the last good state.
+
+    `history` holds the records of the epochs completed before it.
+    """
+
+    def __init__(self, message: str, history: Sequence[dict]):
+        super().__init__(message)
+        self.history = list(history)
 
 
 @dataclass
@@ -147,29 +153,8 @@ def token_accuracy(gold_seqs: Sequence[Sequence[str]],
     return correct / total
 
 
-def evaluate_classification(model: Cn3Model,
-                            examples: Sequence[LabeledExample]) -> float:
-    if not examples:
-        raise ValueError("cannot evaluate on an empty data set")
-    correct = sum(model.predict(ex) == ex.label for ex in examples)
-    return correct / len(examples)
-
-
 TAG_METRICS = ("token_accuracy", "chunk_f1")
 METRICS = ("accuracy",) + TAG_METRICS
-
-
-def evaluate_tagging(model: Cn3Model, examples: Sequence[LabeledExample],
-                     metric: str = "token_accuracy") -> float:
-    if metric not in TAG_METRICS:
-        raise ValueError(f"unknown tag metric {metric!r}; pick from {TAG_METRICS}")
-    if not examples:
-        raise ValueError("cannot evaluate on an empty data set")
-    golds = [ex.tags for ex in examples]
-    preds = [model.predict(ex) for ex in examples]
-    if metric == "token_accuracy":
-        return token_accuracy(golds, preds)
-    return chunk_f1(golds, preds)
 
 
 def default_metric(task: str) -> str:
@@ -189,16 +174,26 @@ def check_metric(metric: str, task: str) -> None:
 
 def evaluate(model: Cn3Model, examples: Sequence[LabeledExample],
              metric: str = "accuracy") -> float:
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}; pick from {METRICS}")
+    """Score the model's predictions on labelled examples.
+
+    accuracy scores classification and pair examples; the tag metrics
+    score tagging examples. The metric must also suit the model's task.
+    """
+    if not examples:
+        raise ValueError("cannot evaluate on an empty data set")
     tagged = metric in TAG_METRICS
     for ex in examples:
         if (ex.kind == TAGGING) != tagged:
             raise ValueError(f"metric {metric!r} does not apply to "
                              f"{ex.kind} examples")
+    check_metric(metric, model.cfg.task)
+    preds = [model.predict(ex) for ex in examples]
     if metric == "accuracy":
-        return evaluate_classification(model, examples)
-    return evaluate_tagging(model, examples, metric)
+        return sum(p == ex.label for p, ex in zip(preds, examples)) / len(preds)
+    golds = [ex.tags for ex in examples]
+    if metric == "token_accuracy":
+        return token_accuracy(golds, preds)
+    return chunk_f1(golds, preds)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +249,7 @@ def train(model: Cn3Model, train_data: Sequence[LabeledExample],
     On divergence (a non-finite loss, or a NumericError from the loss or
     the update, which non-finite values usually raise first) the model is
     restored to the end of the last completed epoch and TrainingDiverged
-    is raised.
+    is raised, carrying the completed epochs' records.
     """
     if not train_data:
         raise ValueError("empty training set")
@@ -282,7 +277,7 @@ def train(model: Cn3Model, train_data: Sequence[LabeledExample],
                 model.restore(last_good)
                 raise TrainingDiverged(
                     f"{exc} in epoch {epoch}; restored the last completed "
-                    f"epoch's parameters") from exc
+                    f"epoch's parameters", history) from exc
             loss_sum += float(loss.data) * len(batch.examples)
             example_count += len(batch.examples)
         record = {"epoch": epoch,
@@ -305,38 +300,3 @@ def train(model: Cn3Model, train_data: Sequence[LabeledExample],
     if dev_data is not None:
         model.restore(best_snap)
     return history
-
-
-# ---------------------------------------------------------------------------
-# grid search
-
-def grid_search(space: dict[str, list], budget: int,
-                run_cell: Callable[[dict], float],
-                ) -> tuple[dict, list[dict]]:
-    """Sweep the Cartesian product of `space`, best metric first by order.
-
-    run_cell receives one {hyperparameter: value} assignment and returns
-    the dev metric for a model trained under it with a fixed seed. Cells
-    are visited in deterministic order (sorted keys, candidate order as
-    given) and truncated to `budget`. Returns the winning assignment and
-    the full log, one row per visited cell.
-    """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    if not space:
-        raise ValueError("empty search space")
-    keys = sorted(space)
-    cells = itertools.islice(itertools.product(*(space[k] for k in keys)),
-                             budget)
-    log: list[dict] = []
-    best_cell: dict | None = None
-    best_metric = -math.inf
-    for combo in cells:
-        cell = dict(zip(keys, combo))
-        metric = run_cell(dict(cell))
-        log.append({**cell, "metric": metric})
-        if metric > best_metric:
-            best_metric = metric
-            best_cell = cell
-    assert best_cell is not None
-    return best_cell, log

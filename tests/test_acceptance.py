@@ -18,12 +18,12 @@ import numpy as np
 from cn3 import autodiff as ad
 from cn3 import crf
 from cn3.cli import entry, trace_to_json
-from cn3.data import (CLASSIFICATION, LabeledExample, parse_conll,
-                      serialize_classification_tsv)
+from cn3.data import CLASSIFICATION, LabeledExample, parse_conll
 from cn3.model import Cn3Model, ModelConfig
-from cn3.synthetic import (case_tagging, first_last_pairing,
-                           keyword_classification, randomize_params)
+from cn3.synthetic import (first_last_pairing, keyword_classification,
+                           randomize_params)
 from cn3.training import TrainConfig, chunk_f1, evaluate, train
+from corpora import case_tagging, serialize_classification_tsv
 
 
 def test_c1_gradient_integrity(tmp_path, capsys):
@@ -107,9 +107,9 @@ def test_c3_attention_columns_normalized():
             trace = model.trace_for(sent)
             assert len(trace.per_layer) == layers
             for alpha in trace.per_layer:
+                assert alpha.shape == (len(sent), len(sent))
                 worst_mem = max(worst_mem, np.abs(
                     alpha.data.sum(axis=0) - 1.0).max())
-            assert trace.column_sums_ok(tol=1e-9)
             decoded = json.loads(trace_to_json(trace))
             for layer in decoded["layers"]:
                 sums = np.array(layer).sum(axis=0)

@@ -11,7 +11,8 @@ from cn3.archive import (ArchiveError, FORMAT_VERSION, MAGIC, load_archive,
 from cn3.cli import entry
 from cn3.data import CLASSIFICATION, TAGGING, LabeledExample
 from cn3.model import Cn3Model, ModelConfig
-from cn3.synthetic import case_tagging, keyword_classification
+from cn3.synthetic import keyword_classification
+from corpora import case_tagging
 
 
 def small_model(task="classify", **overrides):
@@ -186,15 +187,34 @@ BAD_HEADERS = {
     "header_not_object": (lambda h: [h], "JSON object"),
 }
 
+# Archives whose tensor bytes hold a NaN: the model overrides and the
+# poisoned tensor, which the error must name.
+NON_FINITE = {
+    "nan_in_crf_trans": (dict(task="tag", layers=0), "head.crf.trans"),
+    "nan_in_layer_u": (dict(), "stack.layer0.u"),
+}
+
+
+def write_bad_archive(tmp_path, case):
+    """Save a small model broken as `case` says; return path and message."""
+    p = tmp_path / "m.cn3"
+    if case in NON_FINITE:
+        overrides, name = NON_FINITE[case]
+        m, _ = small_model(**overrides)
+        dict(m.params())[name].data.flat[0] = np.nan
+        save_archive(m, str(p))
+        return p, f"non-finite values in tensor {name}"
+    edit, message = BAD_HEADERS[case]
+    m, _ = small_model()
+    save_archive(m, str(p))
+    rewrite_header(p, edit)
+    return p, message
+
 
 class TestMalformedHeader:
-    @pytest.mark.parametrize("case", sorted(BAD_HEADERS))
+    @pytest.mark.parametrize("case", sorted(BAD_HEADERS) + sorted(NON_FINITE))
     def test_load_raises_archive_error(self, tmp_path, case):
-        edit, message = BAD_HEADERS[case]
-        m, _ = small_model()
-        p = tmp_path / "m.cn3"
-        save_archive(m, str(p))
-        rewrite_header(p, edit)
+        p, message = write_bad_archive(tmp_path, case)
         with pytest.raises(ArchiveError, match=message):
             load_archive(str(p))
 
@@ -206,13 +226,12 @@ class TestMalformedHeader:
         assert load_archive(str(p)).loss_for(data[0]).item() == \
             m.loss_for(data[0]).item()
 
-    @pytest.mark.parametrize("case", ["no_vocabs", "unknown_config_key"])
+    @pytest.mark.parametrize("case", ["no_vocabs", "unknown_config_key",
+                                      *sorted(NON_FINITE)])
     def test_eval_exits_2_with_error_line(self, tmp_path, capsys, case):
-        m, _ = small_model()
-        p = tmp_path / "m.cn3"
-        save_archive(m, str(p))
-        rewrite_header(p, BAD_HEADERS[case][0])
+        p, _ = write_bad_archive(tmp_path, case)
         data = tmp_path / "d.tsv"
         data.write_text("yes\ta b\n")
         assert entry(["eval", "--archive", str(p), "--data", str(data)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1

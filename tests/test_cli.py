@@ -8,8 +8,8 @@ import pytest
 from cn3 import autodiff as ad
 from cn3 import core
 from cn3.cli import entry, trace_to_dot, trace_to_json
-from cn3.data import serialize_classification_tsv, serialize_conll
-from cn3.synthetic import case_tagging, keyword_classification
+from cn3.synthetic import keyword_classification
+from corpora import case_tagging, serialize_classification_tsv, serialize_conll
 
 
 def write_classify_setup(tmp_path, **extra):
@@ -82,7 +82,8 @@ class TestTrain:
         from cn3 import cli as cli_mod
 
         def blow_up(model, data, cfg, dev_data=None):
-            raise cli_mod.tr.TrainingDiverged("non-finite loss in epoch 0")
+            raise cli_mod.tr.TrainingDiverged("non-finite loss in epoch 0",
+                                              [])
 
         monkeypatch.setattr(cli_mod.tr, "train", blow_up)
         cfg = write_classify_setup(tmp_path)
@@ -106,6 +107,28 @@ class TestTrain:
         assert entry(["train", "--config", str(cfg)]) == 3
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "model.cn3").exists()
+
+    def test_divergence_keeps_completed_history(self, tmp_path, monkeypatch):
+        # 12 examples in batches of 4: the fourth step is epoch 1's first.
+        # The weight it poisons breaks epoch 1's second batch.
+        from cn3 import training
+
+        real = training.adadelta_step
+        steps = []
+
+        def poisoned_step(params, state, clip_norm=None):
+            real(params, state, clip_norm=clip_norm)
+            steps.append(None)
+            if len(steps) == 4:
+                dict(params)["stack.layer0.u"].data[0] = np.inf
+
+        monkeypatch.setattr(training, "adadelta_step", poisoned_step)
+        cfg = write_classify_setup(tmp_path)
+        assert entry(["train", "--config", str(cfg)]) == 3
+        rows = [json.loads(line) for line in
+                (tmp_path / "history.jsonl").read_text().splitlines()]
+        assert [row["epoch"] for row in rows] == [0]
+        assert len(steps) == 4
 
     def test_tagging_train_runs(self, tmp_path):
         train, _ = case_tagging(n_train=8, n_test=2, seed=0)

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from cn3.data import (PAIR, TAGGING, Batch, DataError, LabeledExample,
                       iob1_to_bio, join_edges, label_set, make_batches,
                       parse_classification_tsv, parse_conll, parse_edges,
-                      parse_pairs, restore_order, serialize_classification_tsv,
-                      serialize_conll, serialize_pairs)
+                      parse_pairs)
+from corpora import (serialize_classification_tsv, serialize_conll,
+                     serialize_pairs)
 
 CONLL_SAMPLE = """He PRP B-NP
 runs VBZ B-VP
@@ -247,11 +248,6 @@ class TestMakeBatches:
         for b in make_batches(ex, 4, seed=1):
             lengths = [len(e.tokens) for e in b.examples]
             assert max(lengths) - min(lengths) <= 1
-
-    def test_restore_order_round_trip(self):
-        ex = toy_examples(9)
-        batches = make_batches(ex, 2, seed=7)
-        assert restore_order(batches, 9) == ex
 
     def test_bad_batch_size(self):
         with pytest.raises(ValueError):

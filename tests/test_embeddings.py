@@ -13,12 +13,12 @@ from cn3.embeddings import (GloveParseError, Tensor, Vocabulary, build_vocab,
 
 class TestBuildVocab:
     def test_contains_pad_unk_and_tokens(self):
-        v = build_vocab(["a b a"], min_count=1)
+        v = build_vocab([["a", "b", "a"]], min_count=1)
         assert emb.PAD_TOKEN in v.items and emb.UNK_TOKEN in v.items
         assert "a" in v.index and "b" in v.index
 
     def test_min_count_drops_rare(self):
-        v = build_vocab(["a b a"], min_count=2)
+        v = build_vocab([["a", "b", "a"]], min_count=2)
         assert v.id_of("b") == v.unk_id
         assert v.id_of("a") != v.unk_id
 
@@ -121,6 +121,13 @@ class TestLoadGlove:
         p = tmp_path / "vecs.txt"
         p.write_text("the oops 0.2\n")
         with pytest.raises(GloveParseError, match="line 1"):
+            load_glove(p, self.make_vocab(), 2, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_reports_number(self, tmp_path, value):
+        p = tmp_path / "vecs.txt"
+        p.write_text(f"the 0.1 0.2\ncat 0.3 {value}\n")
+        with pytest.raises(GloveParseError, match="line 2: non-finite"):
             load_glove(p, self.make_vocab(), 2, np.random.default_rng(0))
 
     def test_idempotent_under_fixed_seed(self, tmp_path):

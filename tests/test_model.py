@@ -146,7 +146,10 @@ class TestForward:
         trace = m.trace_for(["a", "b", "c"])
         assert len(trace.per_layer) == 2
         assert trace.tokens == ["a", "b", "c"]
-        assert trace.column_sums_ok()
+        for alpha in trace.per_layer:
+            assert alpha.shape == (3, 3)
+            np.testing.assert_allclose(alpha.data.sum(axis=0), 1.0,
+                                       rtol=0, atol=1e-9)
 
     def test_forward_deterministic(self):
         m = Cn3Model(tiny_cfg(use_lstm=True), classify_data())
@@ -157,13 +160,14 @@ class TestForward:
         m = Cn3Model(tiny_cfg(task="tag", use_lstm=True, use_char=True,
                               use_dep=True), dep_tagging_data())
         encoded = []
-        real = m._encode_example
+        real = m.encode
 
-        def encode(ex):
-            encoded.append(real(ex))
-            return encoded[-1]
+        def encode(g, tokens=None):
+            out = real(g, tokens)
+            encoded.append(out[0])
+            return out
 
-        m._encode_example = encode
+        m.encode = encode
         m.predict(dep_tagging_data()[0])
         (h,) = encoded
         assert h._parents == () and not h.requires_grad

@@ -10,8 +10,8 @@ from cn3 import training as tr
 from cn3.autodiff import NumericError, Tensor
 from cn3.data import CLASSIFICATION, LabeledExample
 from cn3.model import Cn3Model, ModelConfig
-from cn3.synthetic import (case_tagging, first_last_pairing,
-                           keyword_classification)
+from cn3.synthetic import keyword_classification
+from corpora import case_tagging
 
 
 def named(t):
@@ -171,7 +171,7 @@ class TestEvaluate:
                                  d_a=2, seed=0),
                      keyword_classification(n=4, seed=0))
         data = keyword_classification(n=4, seed=0)
-        acc = tr.evaluate_classification(m, data)
+        acc = tr.evaluate(m, data, "accuracy")
         hits = sum(m.predict(ex) == ex.label for ex in data)
         assert acc == pytest.approx(hits / 4)
 
@@ -180,11 +180,16 @@ class TestEvaluate:
                                  d_a=2, seed=0),
                      keyword_classification(n=4, seed=0))
         with pytest.raises(ValueError):
-            tr.evaluate_classification(m, [])
+            tr.evaluate(m, [], "accuracy")
 
     def test_unknown_metric_rejected(self):
         with pytest.raises(ValueError, match="metric"):
             tr.TrainConfig(metric="bleu")
+        data = keyword_classification(n=4, seed=0)
+        m = Cn3Model(ModelConfig(task="classify", layers=0, d_word=3, d_h=3,
+                                 d_a=2, seed=0), data)
+        with pytest.raises(ValueError, match="metric must be one of"):
+            tr.evaluate(m, data, "bleu")
 
     def test_metric_must_fit_the_examples(self):
         tagged, _ = case_tagging(n_train=4, n_test=1, seed=0)
@@ -195,6 +200,10 @@ class TestEvaluate:
         labelled = keyword_classification(n=4, seed=0)
         with pytest.raises(ValueError, match="does not apply to classification"):
             tr.evaluate(m, labelled, "token_accuracy")
+        # examples and metric agree, but a tag model cannot be scored by
+        # accuracy: comparing tag lists with labels would read 0.0
+        with pytest.raises(ValueError, match="does not apply to the 'tag'"):
+            tr.evaluate(m, labelled, "accuracy")
 
 
 def poison_after_first_step(monkeypatch):
@@ -331,44 +340,3 @@ class TestTrainLoop:
         cfg = tr.TrainConfig(clip_norm=5.0, rho=0.5, eps=1e-8)
         assert (cfg.clip_norm, cfg.rho, cfg.eps) == (5.0, 0.5, 1e-8)
         assert tr.TrainConfig(clip_norm=None).clip_norm is None
-
-
-class TestGridSearch:
-    def test_single_cell(self):
-        best, log = tr.grid_search({"lr": [1]}, budget=5,
-                                   run_cell=lambda cell: 0.75)
-        assert best == {"lr": 1}
-        assert log == [{"lr": 1, "metric": 0.75}]
-
-    def test_budget_truncates(self):
-        calls = []
-
-        def run(cell):
-            calls.append(cell)
-            return 0.0
-
-        tr.grid_search({"a": [1, 2], "b": [1, 2]}, budget=3, run_cell=run)
-        assert len(calls) == 3
-
-    def test_budget_must_be_positive(self):
-        with pytest.raises(ValueError):
-            tr.grid_search({"a": [1]}, budget=0, run_cell=lambda c: 0.0)
-
-    def test_first_best_wins_ties(self):
-        best, _ = tr.grid_search({"a": [1, 2]}, budget=10,
-                                 run_cell=lambda cell: 0.5)
-        assert best == {"a": 1}
-
-    def test_depth_sweep_prefers_capable_cell(self):
-        data = first_last_pairing(n=16, length=6, seed=0)
-
-        def run(cell):
-            m = Cn3Model(ModelConfig(task="classify", layers=cell["layers"],
-                                     d_word=8, d_h=8, d_a=8, seed=0), data)
-            tr.train(m, data, tr.TrainConfig(epochs=300, batch_size=4, seed=0))
-            return tr.evaluate(m, data, "accuracy")
-
-        best, log = tr.grid_search({"layers": [0, 2]}, budget=2, run_cell=run)
-        scores = {row["layers"]: row["metric"] for row in log}
-        assert scores[2] > scores[0]
-        assert best == {"layers": 2}

@@ -8,9 +8,9 @@ lengths differ per example and the graph shape follows the data).
 Every backward pass delivers a gradient the same way, through ``_accum``:
 each tensor owns one gradient buffer, allocated on first use, and every
 contribution is added into it in place. The index ops (``gather_rows``,
-``take``, ``slice_cols``, ``max_rows``) share one primitive whose backward
-adds the incoming gradient at the index it read from, so repeated indices
-add up and nothing of the parent's size is built besides its one buffer.
+``take``, ``max_rows``) share one primitive whose backward adds the
+incoming gradient at the index it read from, so repeated indices add up
+and nothing of the parent's size is built besides its one buffer.
 
 Inside a ``no_grad()`` block no tape is recorded: results have no
 parents and require no gradient, so intermediates are freed as soon as
@@ -18,10 +18,14 @@ the caller drops them. Predictions and finite differences run there.
 
 Broadcasting is deliberately narrow: binary elementwise ops accept equal
 shapes, or a 2-D left operand with a row-vector right operand (bias add,
-row-wise gating). Everything else must match exactly. The one explicit
-pair broadcast is ``pair_scores``, the fused pair scorer: it adds a
-per-source row, a per-target row and a relation row for every ordered
-pair, applies tanh and projects onto a vector, in blocks of source rows.
+row-wise gating). Everything else must match exactly.
+
+Two fused ops put on the tape as one node, with a hand-written backward
+pass, what would otherwise take hundreds of nodes. ``pair_scores``, the
+pair scorer, adds a per-source row, a per-target row and a relation row
+for every ordered pair, applies tanh and projects onto a vector, in
+blocks of source rows. ``lstm_scan`` runs one direction of an LSTM over
+the rows of a matrix and backpropagates through time.
 """
 
 from __future__ import annotations
@@ -257,16 +261,6 @@ def scale(x, c: float) -> Tensor:
 # ---------------------------------------------------------------------------
 # elementwise unaries
 
-def tanh(x) -> Tensor:
-    x = as_tensor(x)
-    y = np.tanh(x.data)
-
-    def back(g):
-        _accum(x, (1.0 - y * y) * g)
-
-    return _result(y, (x,), "tanh", back)
-
-
 def _sigmoid_stable(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
     pos = z >= 0
@@ -470,6 +464,84 @@ def pair_scores(src, tgt, rel, rel_ids, u) -> Tensor:
     return _result(scores, parents, "pair_scores", back)
 
 
+def lstm_scan(xs, w_input, w_hidden, bias, reverse: bool = False) -> Tensor:
+    """One LSTM direction over the rows of xs: [n, d] -> [n, h].
+
+    Row t of the result is the hidden state after reading rows 0..t of xs
+    in order, or rows n-1..t with reverse. The cell (Hochreiter &
+    Schmidhuber 1997), with its gates laid out along the columns as
+    [i, f, g, o]:
+
+        z = xs[t] @ w_input + bias + h_prev @ w_hidden
+        i, f, g, o = sigmoid(z_i), sigmoid(z_f), tanh(z_g), sigmoid(z_o)
+        c = f * c_prev + i * g
+        h = o * tanh(c)
+
+    with h_prev and c_prev zero before the first step. The input
+    projection of all n rows is one product; only h_prev @ w_hidden runs
+    per step. For the backward pass the forward keeps the [n, 4h] gate
+    activations and the [n, h] cells, their tanh and the outputs. The
+    backward pass runs the recurrence back in time into one [n, 4h]
+    pre-activation gradient, then gives every operand its gradient with
+    one product or sum.
+    """
+    xs, w_input, w_hidden, bias = (as_tensor(t)
+                                   for t in (xs, w_input, w_hidden, bias))
+    if xs.ndim != 2:
+        raise ShapeError(f"lstm_scan: xs must be an [n, d] matrix, got {xs.shape}")
+    n, d = xs.shape
+    h = w_hidden.shape[0] if w_hidden.ndim == 2 else -1
+    if (w_hidden.shape != (h, 4 * h) or w_input.shape != (d, 4 * h)
+            or bias.shape != (4 * h,)):
+        raise ShapeError(f"lstm_scan: w_input {w_input.shape}, w_hidden "
+                         f"{w_hidden.shape} and bias {bias.shape} must be "
+                         f"[{d}, 4h], [h, 4h] and [4h]")
+    steps = range(n - 1, -1, -1) if reverse else range(n)
+    gates = xs.data @ w_input.data + bias.data  # pre-activations until used
+    cells = np.empty((n, h))
+    tanh_cells = np.empty((n, h))
+    out = np.empty((n, h))
+    h_prev, c_prev = np.zeros(h), np.zeros(h)
+    for t in steps:
+        z = gates[t]
+        z += h_prev @ w_hidden.data
+        a = _sigmoid_stable(z)
+        np.tanh(z[2 * h:3 * h], out=a[2 * h:3 * h])
+        gates[t] = a
+        c_prev = cells[t] = a[h:2 * h] * c_prev + a[:h] * a[2 * h:3 * h]
+        np.tanh(c_prev, out=tanh_cells[t])
+        h_prev = out[t] = a[3 * h:] * tanh_cells[t]
+
+    def back(g):
+        i, f, cand, o = (gates[:, k * h:(k + 1) * h] for k in range(4))
+        # The state each step read: the next row back in reading order.
+        h_in, c_in = np.zeros((n, h)), np.zeros((n, h))
+        if reverse:
+            h_in[:-1], c_in[:-1] = out[1:], cells[1:]
+        else:
+            h_in[1:], c_in[1:] = out[:-1], cells[:-1]
+        # The pre-activation gradient is the step's cell gradient (for i,
+        # f, g) or output gradient (for o) times these local factors.
+        local = np.concatenate([cand * i * (1.0 - i), c_in * f * (1.0 - f),
+                                i * (1.0 - cand * cand),
+                                tanh_cells * o * (1.0 - o)], axis=1)
+        cell_from_out = o * (1.0 - tanh_cells * tanh_cells)
+        dz = np.empty((n, 4 * h))
+        dh_next, dc_next = np.zeros(h), np.zeros(h)
+        for t in reversed(steps):
+            dh = g[t] + dh_next
+            dc = dc_next + dh * cell_from_out[t]
+            dz[t] = local[t] * np.concatenate([dc, dc, dc, dh])
+            dc_next = dc * f[t]
+            dh_next = w_hidden.data @ dz[t]
+        _accum(xs, dz @ w_input.data.T)
+        _accum(w_input, xs.data.T @ dz)
+        _accum(w_hidden, h_in.T @ dz)
+        _accum(bias, dz.sum(axis=0))
+
+    return _result(out, (xs, w_input, w_hidden, bias), "lstm_scan", back)
+
+
 def take(x, flat_ids: Iterable[int]) -> Tensor:
     """Pick elements by flat (row-major) index into a 1-D result."""
     x = as_tensor(x)
@@ -481,13 +553,6 @@ def take(x, flat_ids: Iterable[int]) -> Tensor:
     if idx.min() < 0 or idx.max() >= x.data.size:
         raise IndexError(f"flat id out of range [0, {x.data.size}): {idx.tolist()}")
     return _index(x, np.unravel_index(idx, x.shape), "take")
-
-
-def slice_cols(x, start: int, stop: int) -> Tensor:
-    x = as_tensor(x)
-    if x.ndim != 2 or not (0 <= start < stop <= x.shape[1]):
-        raise ShapeError(f"slice_cols [{start}:{stop}] invalid for shape {x.shape}")
-    return _index(x, (slice(None), slice(start, stop)), "slice_cols")
 
 
 # ---------------------------------------------------------------------------

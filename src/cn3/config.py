@@ -64,7 +64,8 @@ class RunConfig:
         return _NAMED_VARIANTS.get(frozenset(on), "custom")
 
     def validate(self) -> None:
-        """Check that the metric scores the task and that inputs exist."""
+        """Check that the metric scores the task, that inputs exist and
+        that outputs have a directory to go to, before any training runs."""
         try:
             check_metric(self.train.metric, self.model.task)
         except ValueError as exc:
@@ -73,13 +74,19 @@ class RunConfig:
             path = getattr(self, name)
             if path is not None and not os.path.exists(path):
                 raise ConfigError(f"{name} does not exist: {path}")
+        for name in _OUTPUT_PATHS:
+            path = getattr(self, name)
+            if not os.path.isdir(os.path.dirname(path) or os.curdir):
+                raise ConfigError(f"{name} is in a directory that does not "
+                                  f"exist: {path}")
 
 
 _BOOL_WORDS = {"true": True, "yes": True, "1": True,
                "false": False, "no": False, "0": False}
 
 _INPUT_PATHS = ("train_path", "dev_path", "glove_path", "edges_path")
-_PATH_FIELDS = _INPUT_PATHS + ("archive_path", "history_path")
+_OUTPUT_PATHS = ("archive_path", "history_path")
+_PATH_FIELDS = _INPUT_PATHS + _OUTPUT_PATHS
 
 
 def _key_table() -> dict[str, tuple[type, list[tuple[str, str]]]]:

@@ -166,31 +166,13 @@ def encode_chars(char_ids: Iterable[Iterable[int]], table: EmbeddingTable,
     return ad.concat_rows(pooled) if len(pooled) > 1 else pooled[0]
 
 
-def _lstm_direction(xs: Tensor, p: LstmParams, reverse: bool) -> list[Tensor]:
-    n = xs.shape[0]
-    h = p.hidden
-    state_h = ad.zeros((1, h))
-    state_c = ad.zeros((1, h))
-    order = range(n - 1, -1, -1) if reverse else range(n)
-    outs: list[Tensor | None] = [None] * n
-    for t in order:
-        x_t = ad.gather_rows(xs, [t])
-        z = ad.matmul(x_t, p.w_input) + ad.matmul(state_h, p.w_hidden) + p.bias
-        gate_i = ad.sigmoid(ad.slice_cols(z, 0, h))
-        gate_f = ad.sigmoid(ad.slice_cols(z, h, 2 * h))
-        cand = ad.tanh(ad.slice_cols(z, 2 * h, 3 * h))
-        gate_o = ad.sigmoid(ad.slice_cols(z, 3 * h, 4 * h))
-        state_c = gate_f * state_c + gate_i * cand
-        state_h = gate_o * ad.tanh(state_c)
-        outs[t] = state_h
-    return outs  # type: ignore[return-value]
-
-
 def bilstm_context(word_vecs: Tensor, params: BiLstmParams) -> Tensor:
     """Concatenate left-to-right and right-to-left LSTM states per position."""
-    fwd = _lstm_direction(word_vecs, params.forward, reverse=False)
-    bwd = _lstm_direction(word_vecs, params.backward, reverse=True)
-    return ad.concat_cols([ad.concat_rows(fwd), ad.concat_rows(bwd)])
+    fwd, bwd = params.forward, params.backward
+    return ad.concat_cols([
+        ad.lstm_scan(word_vecs, fwd.w_input, fwd.w_hidden, fwd.bias),
+        ad.lstm_scan(word_vecs, bwd.w_input, bwd.w_hidden, bwd.bias,
+                     reverse=True)])
 
 
 def assemble_node_attrs(g: SentenceGraph,

@@ -162,10 +162,14 @@ def default_metric(task: str) -> str:
     return "token_accuracy" if task == "tag" else "accuracy"
 
 
-def check_metric(metric: str, task: str) -> None:
-    """Raise ValueError unless `metric` is known and scores `task`."""
+def _require_known_metric(metric: str) -> None:
     if metric not in METRICS:
         raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
+
+
+def check_metric(metric: str, task: str) -> None:
+    """Raise ValueError unless `metric` is known and scores `task`."""
+    _require_known_metric(metric)
     if (metric in TAG_METRICS) != (task == "tag"):
         raise ValueError(f"metric {metric!r} does not apply to the {task!r} "
                          f"task: the tag task takes {' or '.join(TAG_METRICS)}, "
@@ -221,9 +225,7 @@ class TrainConfig:
         if self.clip_norm is not None and not self.clip_norm > 0.0:
             raise ValueError(f"clip_norm must be positive or none, "
                              f"got {self.clip_norm}")
-        if self.metric not in METRICS:
-            raise ValueError(f"metric must be one of {METRICS}, "
-                             f"got {self.metric!r}")
+        _require_known_metric(self.metric)
 
 
 def _epoch_seed(seed: int, epoch: int) -> int:

@@ -119,9 +119,9 @@ class TestElementwise:
 
 
 class TestUnaries:
-    def test_tanh_values(self):
+    def test_sigmoid_values(self):
         x = Tensor([0.0, 100.0, -100.0])
-        np.testing.assert_allclose(ad.tanh(x).data, [0.0, 1.0, -1.0], atol=1e-12)
+        np.testing.assert_allclose(ad.sigmoid(x).data, [0.5, 1.0, 0.0], atol=1e-12)
 
     def test_sigmoid_saturation(self):
         assert abs(ad.sigmoid(Tensor(50.0)).item() - 1.0) < 1e-12
@@ -135,11 +135,11 @@ class TestUnaries:
         ad.backward(ad.sum_all(ad.absval(x)))
         np.testing.assert_array_equal(x.grad, [-1.0, 0.0, 1.0])
 
-    def test_tanh_gradient_matches_numeric(self):
+    def test_sigmoid_gradient_matches_numeric(self):
         x = Tensor(np.linspace(-2, 2, 7), requires_grad=True)
 
         def f():
-            return ad.sum_all(ad.tanh(x))
+            return ad.sum_all(ad.sigmoid(x))
 
         ad.backward(f())
         np.testing.assert_allclose(x.grad, central_diff(f, x), atol=1e-8)
@@ -245,7 +245,7 @@ class TestStructureOps:
         b = Tensor(2 * np.ones((2, 3)), requires_grad=True)
         cat = ad.concat_cols([a, b])
         assert cat.shape == (2, 5)
-        ad.backward(ad.sum_all(ad.slice_cols(cat, 2, 5)))
+        ad.backward(ad.sum_all(cat * Tensor([[0.0, 0.0, 1.0, 1.0, 1.0]] * 2)))
         np.testing.assert_array_equal(a.grad, np.zeros((2, 2)))
         np.testing.assert_array_equal(b.grad, np.ones((2, 3)))
 
@@ -282,14 +282,13 @@ class TestStructureOps:
         # instead of adding into it would lose a contribution.
         rng = np.random.default_rng(11)
         x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        weights = [rng.normal(size=s) for s in [(5, 3), (6,), (4, 2), (3,), (4, 3)]]
+        weights = [rng.normal(size=s) for s in [(5, 3), (6,), (3,), (4, 3)]]
 
         def f():
             parts = [ad.gather_rows(x, [0, 2, 0, 3, 0]),
                      ad.take(x, [1, 1, 5, 11, 0, 1]),
-                     ad.slice_cols(x, 1, 3),
                      ad.max_rows(x),
-                     ad.tanh(x)]
+                     ad.sigmoid(x)]
             terms = [ad.sum_all(p * Tensor(w)) for p, w in zip(parts, weights)]
             total = terms[0]
             for term in terms[1:]:
@@ -401,6 +400,81 @@ class TestPairScores:
             ad.pair_scores(src, tgt, rel, np.full(9, 3), u)
 
 
+def lstm_operands(n, d, h, seed):
+    """Inputs and weights of one LSTM direction, all requiring gradients."""
+    r = np.random.default_rng(seed)
+    shapes = [(n, d), (d, 4 * h), (h, 4 * h), (4 * h,)]
+    return [Tensor(r.normal(scale=0.5, size=s), requires_grad=True)
+            for s in shapes]
+
+
+def stepwise_lstm(xs, w_input, w_hidden, bias, reverse):
+    """The LSTM cell one token at a time, gates [i, f, g, o] along columns."""
+    n, h = xs.shape[0], w_hidden.shape[0]
+
+    def sig(z):
+        return 1.0 / (1.0 + np.exp(-z))
+
+    state_h, state_c = np.zeros(h), np.zeros(h)
+    out = np.zeros((n, h))
+    for t in (reversed(range(n)) if reverse else range(n)):
+        z = xs[t] @ w_input + state_h @ w_hidden + bias
+        i, f = sig(z[:h]), sig(z[h:2 * h])
+        g, o = np.tanh(z[2 * h:3 * h]), sig(z[3 * h:])
+        state_c = f * state_c + i * g
+        state_h = o * np.tanh(state_c)
+        out[t] = state_h
+    return out
+
+
+class TestLstmScan:
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_matches_stepwise_reference(self, n, reverse):
+        operands = lstm_operands(n, 3, 4, seed=n)
+        got = ad.lstm_scan(*operands, reverse=reverse).data
+        want = stepwise_lstm(*(t.data for t in operands), reverse)
+        assert got.shape == (n, 4)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_gradients_of_all_operands(self, n, reverse):
+        operands = lstm_operands(n, 2, 3, seed=20 + n)
+        w = Tensor(np.random.default_rng(30 + n).normal(size=(n, 3)))
+
+        def f():
+            return ad.sum_all(ad.lstm_scan(*operands, reverse=reverse) * w)
+
+        assert ad.grad_check(f, operands) < 1e-6
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_no_grad_output_bitwise_equal(self, reverse):
+        operands = lstm_operands(9, 5, 6, seed=40)
+        taped = ad.lstm_scan(*operands, reverse=reverse)
+        with ad.no_grad():
+            untaped = ad.lstm_scan(*operands, reverse=reverse)
+        assert taped._parents and not untaped._parents
+        assert not untaped.requires_grad
+        np.testing.assert_array_equal(taped.data, untaped.data)
+
+    def test_shape_mismatch(self):
+        xs, w_input, w_hidden, bias = lstm_operands(3, 2, 4, seed=50)
+        bad = {"w_input": [Tensor(np.ones((3, 16))), Tensor(np.ones((2, 12)))],
+               "w_hidden": [Tensor(np.ones((4, 12))), Tensor(np.ones((3, 16))),
+                            Tensor(np.ones(16))],
+               "bias": [Tensor(np.ones(12)), Tensor(np.ones((1, 16)))]}
+        for name, tensors in bad.items():
+            for t in tensors:
+                args = dict(xs=xs, w_input=w_input, w_hidden=w_hidden,
+                            bias=bias)
+                args[name] = t
+                with pytest.raises(ShapeError):
+                    ad.lstm_scan(**args)
+        with pytest.raises(ShapeError):
+            ad.lstm_scan(Tensor(np.ones(2)), w_input, w_hidden, bias)
+
+
 class TestBackwardMachinery:
     def test_backward_requires_scalar(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)
@@ -430,10 +504,10 @@ class TestBackwardMachinery:
     def test_no_grad_records_no_tape(self):
         x = Tensor([[1.0, 2.0]], requires_grad=True)
         with ad.no_grad():
-            y = ad.tanh(x * x)
+            y = ad.sigmoid(x * x)
         assert y._parents == () and not y.requires_grad
-        np.testing.assert_array_equal(y.data, np.tanh(x.data * x.data))
-        z = ad.tanh(x * x)
+        np.testing.assert_array_equal(y.data, 1.0 / (1.0 + np.exp(-x.data * x.data)))
+        z = ad.sigmoid(x * x)
         assert z._parents and z.requires_grad
 
     def test_deep_chain_no_recursion_error(self):
@@ -450,7 +524,7 @@ class TestBackwardMachinery:
         x = Tensor(rng.normal(size=(2, 3)))
 
         def f():
-            h = ad.tanh(ad.matmul(x, w))
+            h = ad.sigmoid(ad.matmul(x, w))
             a = ad.row_softmax(h)
             return ad.sum_all(a * h)
 
@@ -476,23 +550,20 @@ class TestGradCheck:
             ad.grad_check(lambda: ad.sum_all(x), [x], eps=0.1)
 
     def test_corrupted_backward_is_caught(self, monkeypatch):
-        # Negative control: a deliberately wrong tanh derivative must trip it.
-        real_tanh = ad.tanh
-
-        def bad_tanh(t):
+        # Negative control: a deliberately wrong sigmoid derivative must trip it.
+        def bad_sigmoid(t):
             t = ad.as_tensor(t)
-            y = np.tanh(t.data)
+            y = ad._sigmoid_stable(t.data)
 
             def back(g):
-                ad._accum(t, (1.0 - 0.5 * y * y) * g)
+                ad._accum(t, 0.5 * y * (1.0 - y) * g)
 
-            return ad._result(y, (t,), "tanh", back)
+            return ad._result(y, (t,), "sigmoid", back)
 
-        monkeypatch.setattr(ad, "tanh", bad_tanh)
+        monkeypatch.setattr(ad, "sigmoid", bad_sigmoid)
         x = Tensor([0.7, -1.3], requires_grad=True)
 
         def f():
-            return ad.sum_all(ad.tanh(x))
+            return ad.sum_all(ad.sigmoid(x))
 
         assert ad.grad_check(f, [x]) > 1e-4
-        monkeypatch.setattr(ad, "tanh", real_tanh)

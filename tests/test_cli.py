@@ -7,6 +7,7 @@ import pytest
 
 from cn3 import autodiff as ad
 from cn3 import core
+from cn3 import training as tr
 from cn3.cli import entry, trace_to_dot, trace_to_json
 from cn3.synthetic import keyword_classification
 from corpora import case_tagging, serialize_classification_tsv, serialize_conll
@@ -52,6 +53,24 @@ class TestTrain:
         cfg.write_text("task = classify\ntrain_path = nowhere.tsv\n")
         assert entry(["train", "--config", str(cfg)]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["archive_path", "history_path"])
+    def test_output_in_missing_directory_exits_2_before_training(
+            self, tmp_path, capsys, monkeypatch, key):
+        runs = []
+        real_train = tr.train
+
+        def counting_train(*args, **kwargs):
+            runs.append(1)
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(tr, "train", counting_train)
+        cfg = write_classify_setup(tmp_path, **{key: "missing/out"})
+        assert entry(["train", "--config", str(cfg)]) == 2
+        assert runs == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
+        assert not (tmp_path / "history.jsonl").exists()
 
     def test_same_seed_byte_identical_archives(self, tmp_path):
         cfg_a = write_classify_setup(tmp_path, archive_path="a.cn3")
@@ -312,17 +331,18 @@ class TestGradCheck:
         assert "head: max_rel_err=" in capsys.readouterr().out
 
     def test_corrupted_backward_exits_1(self, tmp_path, capsys, monkeypatch):
-        def bad_tanh(t):
+        def bad_sigmoid(t):
             t = ad.as_tensor(t)
-            y = np.tanh(t.data)
+            y = ad._sigmoid_stable(t.data)
 
             def back(g):
-                ad._accum(t, (1.0 - 0.5 * y * y) * g)
+                ad._accum(t, 0.5 * y * (1.0 - y) * g)
 
-            return ad._result(y, (t,), "tanh", back)
+            return ad._result(y, (t,), "sigmoid", back)
 
-        # core calls through the ad namespace, so this poisons edge scoring
-        monkeypatch.setattr(core.ad, "tanh", bad_tanh)
+        # core calls through the ad namespace, so this poisons the gate
+        # that blends each layer's aggregate into the node states
+        monkeypatch.setattr(core.ad, "sigmoid", bad_sigmoid)
         cfg = self.gc_config(tmp_path)
         assert entry(["grad-check", "--config", str(cfg)]) == 1
         captured = capsys.readouterr()

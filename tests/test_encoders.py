@@ -178,6 +178,23 @@ class TestBiLstm:
 
         assert ad.grad_check(f, params) < 1e-6
 
+    def test_tape_size_does_not_grow_with_length(self):
+        # Each direction is one fused op, so the BiLSTM adds the same
+        # tape nodes to a 3-token sentence as to a 30-token one.
+        p = init_bilstm(2, 3, rng(12))
+
+        def tape_size(n):
+            xs = Tensor(rng(13).normal(size=(n, 2)), requires_grad=True)
+            seen, stack = {id(xs)}, [bilstm_context(xs, p)]
+            while stack:
+                for parent in stack.pop()._parents:
+                    if id(parent) not in seen:
+                        seen.add(id(parent))
+                        stack.append(parent)
+            return len(seen)
+
+        assert tape_size(3) == tape_size(30)
+
 
 def encoder_params(d_word=4, d_pos=20, h=2, d_char=3, d_tag=5, d_spell=2,
                    d_rel=3, seed=0):

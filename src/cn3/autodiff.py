@@ -262,12 +262,9 @@ def scale(x, c: float) -> Tensor:
 # elementwise unaries
 
 def _sigmoid_stable(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) below: exp never overflows
+    ez = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, ez) / (1.0 + ez)
 
 
 def sigmoid(x) -> Tensor:

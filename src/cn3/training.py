@@ -2,7 +2,15 @@
 
 The optimizer follows Zeiler's published update exactly (rho 0.95,
 epsilon 1e-6): decaying averages of squared gradients and squared updates
-set a per-entry step size with no learning rate. Training is fully
+set a per-entry step size with no learning rate. A 2-D parameter is
+updated lazily, row by row: a row whose gradient is all zero changes no
+weight, and its only change would be both accumulators decaying by rho.
+So a step touches only the rows with a nonzero gradient entry, and an
+untouched row's accumulators lag until it is next touched, when the k
+missed decays are applied at once as rho^k. In real arithmetic this is
+the dense update exactly, and while every row is touched on every step
+it is bitwise the dense update. 0-D and 1-D parameters are updated
+densely. Training is fully
 deterministic for a fixed seed: batch composition derives from the seed
 and epoch index, and all parameters live in one ordered registry.
 
@@ -43,12 +51,20 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass
 class AdaDeltaState:
-    """Decaying accumulators, one pair per parameter, keyed by name."""
+    """Decaying accumulators, one pair per parameter, keyed by name.
+
+    `sq_grad` and `sq_update` are full-shape arrays. For a 2-D parameter
+    each row's accumulators are as of the last step that touched the row
+    (`last_step[name]`, per row; `step` counts the steps taken): the
+    decays since then are applied when the row is next touched.
+    """
 
     rho: float = RHO_DEFAULT
     eps: float = EPS_DEFAULT
     sq_grad: dict[str, np.ndarray] = field(default_factory=dict)
     sq_update: dict[str, np.ndarray] = field(default_factory=dict)
+    step: int = 0
+    last_step: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
     def for_params(cls, params: Sequence[tuple[str, Tensor]],
@@ -58,6 +74,8 @@ class AdaDeltaState:
         for name, t in params:
             state.sq_grad[name] = np.zeros_like(t.data)
             state.sq_update[name] = np.zeros_like(t.data)
+            if t.data.ndim == 2:
+                state.last_step[name] = np.zeros(t.data.shape[0], np.int64)
         return state
 
 
@@ -69,30 +87,57 @@ def global_grad_norm(params: Sequence[tuple[str, Tensor]]) -> float:
     return math.sqrt(total)
 
 
+def _touched(name: str, t: Tensor, state: AdaDeltaState):
+    """Where a step updates `t`, and the gradient there; None for nowhere.
+
+    All of a 0-D or 1-D parameter, a missing gradient counting as zero.
+    Of a 2-D one, the rows whose gradient has a nonzero entry (NaN too).
+    """
+    if name not in state.last_step:
+        return ..., (np.zeros_like(t.data) if t.grad is None else t.grad)
+    if t.grad is None:
+        return None
+    rows = np.flatnonzero(t.grad.any(axis=1))
+    return (rows, t.grad[rows]) if rows.size else None
+
+
 def adadelta_step(params: Sequence[tuple[str, Tensor]], state: AdaDeltaState,
                   clip_norm: float | None = None) -> None:
-    """Apply one update in place; a missing gradient counts as zero."""
+    """Apply one update in place; a missing gradient counts as zero.
+
+    Only the touched rows of a 2-D parameter change (see the module
+    docstring); their accumulators first catch up on the decays missed.
+    """
+    updates = []
     for name, t in params:
-        if t.grad is not None and not np.all(np.isfinite(t.grad)):
-            raise NumericError(f"non-finite gradient in parameter {name!r}")
         if state.sq_grad[name].shape != t.data.shape:
             raise ad.ShapeError(f"optimizer state shape mismatch for {name!r}")
+        touched = _touched(name, t, state)
+        if touched is None:
+            continue
+        if not np.all(np.isfinite(touched[1])):
+            raise NumericError(f"non-finite gradient in parameter {name!r}")
+        updates.append((name, t, *touched))
     scale = 1.0
     if clip_norm is not None:
         norm = global_grad_norm(params)
         if norm > clip_norm:
             scale = clip_norm / norm
     rho, eps = state.rho, state.eps
-    for name, t in params:
-        g = np.zeros_like(t.data) if t.grad is None else t.grad * scale
-        eg = state.sq_grad[name]
-        ex = state.sq_update[name]
-        eg *= rho
-        eg += (1.0 - rho) * g * g
+    state.step += 1
+    for name, t, idx, g in updates:
+        g = g * scale
+        lag = 1.0
+        if name in state.last_step:
+            # rho^(k-1) for the k-1 steps that left these rows untouched
+            lag = rho ** (state.step - 1 - state.last_step[name][idx])[:, None]
+            state.last_step[name][idx] = state.step
+        eg = state.sq_grad[name][idx] * (lag * rho) + (1.0 - rho) * g * g
+        ex = state.sq_update[name][idx] * lag
         delta = -np.sqrt(ex + eps) / np.sqrt(eg + eps) * g
-        ex *= rho
-        ex += (1.0 - rho) * delta * delta
-        t.data += delta
+        state.sq_grad[name][idx] = eg
+        state.sq_update[name][idx] = rho * ex + (1.0 - rho) * delta * delta
+        t.data[idx] += delta
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +291,11 @@ def train(model: Cn3Model, train_data: Sequence[LabeledExample],
           ) -> list[dict]:
     """Optimize in place; return one history record per completed epoch.
 
+    A record holds the epoch, its mean training loss, the dev metric (None
+    without a dev set), its training wall time in seconds (dev scoring
+    excluded), the AdaDelta steps taken and examples per second of that
+    wall time.
+
     With a dev set the best-scoring epoch's parameters win and patience
     counts non-improving epochs; without one the final parameters stand.
     On divergence (a non-finite loss, or a NumericError from the loss or
@@ -265,7 +315,7 @@ def train(model: Cn3Model, train_data: Sequence[LabeledExample],
     for epoch in range(cfg.epochs):
         started = time.monotonic()
         loss_sum = 0.0
-        example_count = 0
+        example_count = steps = 0
         for batch in make_batches(train_data, cfg.batch_size,
                                   _epoch_seed(cfg.seed, epoch)):
             try:
@@ -282,10 +332,15 @@ def train(model: Cn3Model, train_data: Sequence[LabeledExample],
                     f"epoch's parameters", history) from exc
             loss_sum += float(loss.data) * len(batch.examples)
             example_count += len(batch.examples)
+            steps += 1
+        wall_time = time.monotonic() - started
         record = {"epoch": epoch,
                   "train_loss": loss_sum / example_count,
                   "dev_metric": None,
-                  "wall_time": time.monotonic() - started}
+                  "wall_time": wall_time,
+                  "steps": steps,
+                  "examples_per_s": (example_count / wall_time
+                                     if wall_time > 0 else None)}
         last_good = model.snapshot()
         if dev_data is not None:
             metric = evaluate(model, dev_data, cfg.metric)

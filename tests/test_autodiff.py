@@ -130,6 +130,28 @@ class TestUnaries:
     def test_sigmoid_half_at_zero(self):
         assert ad.sigmoid(Tensor(0.0)).item() == 0.5
 
+    def test_sigmoid_bitwise_equals_masked_form(self):
+        # The two-branch form sigmoid was computed with before, kept here
+        # as the reference: 1/(1+e^-z) where z >= 0, e^z/(1+e^z) below.
+        def masked(z):
+            out = np.empty_like(z)
+            pos = z >= 0
+            out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+            ez = np.exp(z[~pos])
+            out[~pos] = ez / (1.0 + ez)
+            return out
+
+        tiny = np.finfo(np.float64).smallest_subnormal
+        z = np.concatenate([
+            np.random.default_rng(0).standard_normal(400) * 6.0,
+            [0.0, -0.0, np.inf, -np.inf, tiny, -tiny, 1e-310, -1e-310,
+             800.0, -800.0, 36.7, -36.7, 745.0, -745.0, 709.8, -709.8]])
+        for x in (z, z.reshape(26, 16), np.float64(-3.5).reshape(())):
+            with np.errstate(over="raise", invalid="raise"):
+                got = ad._sigmoid_stable(x)
+            assert got.shape == x.shape
+            assert got.tobytes() == masked(x).tobytes()
+
     def test_abs_gradient(self):
         x = Tensor([-2.0, 0.0, 3.0], requires_grad=True)
         ad.backward(ad.sum_all(ad.absval(x)))

@@ -217,6 +217,143 @@ def poison_after_first_step(monkeypatch):
     monkeypatch.setattr(tr, "adadelta_step", step)
 
 
+def dense_adadelta_step(params, sq_grad, sq_update, clip_norm=None):
+    """Reference: Zeiler's update on every entry of every parameter."""
+    rho, eps = tr.RHO_DEFAULT, tr.EPS_DEFAULT
+    scale = 1.0
+    if clip_norm is not None:
+        norm = tr.global_grad_norm(params)
+        if norm > clip_norm:
+            scale = clip_norm / norm
+    for name, t in params:
+        g = np.zeros_like(t.data) if t.grad is None else t.grad * scale
+        eg, ex = sq_grad[name], sq_update[name]
+        eg *= rho
+        eg += (1.0 - rho) * g * g
+        delta = -np.sqrt(ex + eps) / np.sqrt(eg + eps) * g
+        ex *= rho
+        ex += (1.0 - rho) * delta * delta
+        t.data += delta
+
+
+def table_params(seed=0):
+    """A 30-row table, a 2-D weight and a bias, as (name, Tensor) pairs."""
+    rng = np.random.default_rng(seed)
+    return [("emb.table", Tensor(rng.standard_normal((30, 4)), requires_grad=True)),
+            ("layer.w", Tensor(rng.standard_normal((3, 5)), requires_grad=True)),
+            ("layer.b", Tensor(rng.standard_normal(5), requires_grad=True))]
+
+
+def lookup_grads(params, ids, rng, gain=1.0):
+    """Gradients as a lookup of `ids` leaves them: rows summed, repeats added."""
+    (_, table), (_, w), (_, b) = params
+    table.grad = np.zeros_like(table.data)
+    np.add.at(table.grad, ids, gain * rng.standard_normal((len(ids), 4)))
+    w.grad = gain * rng.standard_normal(w.data.shape)
+    b.grad = gain * rng.standard_normal(b.data.shape)
+
+
+class TestLazyAdaDelta:
+    @pytest.mark.parametrize("clip_norm", [None, 20.0])
+    def test_matches_dense_reference(self, clip_norm):
+        lazy, dense = table_params(), table_params()
+        st = tr.AdaDeltaState.for_params(lazy)
+        sq_grad = {n: np.zeros_like(t.data) for n, t in dense}
+        sq_update = {n: np.zeros_like(t.data) for n, t in dense}
+        rng = np.random.default_rng(1)
+        for step in range(61):
+            if step == 60:
+                ids = np.arange(30)  # the last step touches every row
+            elif step < 3:
+                ids = rng.integers(0, 30, 12)
+            else:
+                # rows 20-29 stay untouched from step 3 until the last step
+                ids = rng.integers(0, 20, 8)
+                ids[:3] = ids[3]  # a repeated id
+            gain = 10.0 if step % 7 == 0 else 1.0  # steps a clip of 20 acts on
+            for params in (lazy, dense):
+                lookup_grads(params, ids, np.random.default_rng([step, 2]),
+                             gain)
+                if step == 30:  # an all-zero step
+                    for _, t in params:
+                        t.grad = np.zeros_like(t.data)
+            tr.adadelta_step(lazy, st, clip_norm=clip_norm)
+            dense_adadelta_step(dense, sq_grad, sq_update, clip_norm=clip_norm)
+            for (name, a), (_, b) in zip(lazy, dense):
+                np.testing.assert_allclose(a.data, b.data, rtol=1e-12,
+                                           atol=0, err_msg=name)
+        for name, _ in lazy:
+            np.testing.assert_allclose(st.sq_grad[name], sq_grad[name],
+                                       rtol=1e-12, atol=0, err_msg=name)
+            np.testing.assert_allclose(st.sq_update[name], sq_update[name],
+                                       rtol=1e-12, atol=0, err_msg=name)
+        assert st.step == 61
+
+    def test_every_row_touched_is_bitwise_dense(self):
+        lazy, dense = table_params(), table_params()
+        st = tr.AdaDeltaState.for_params(lazy)
+        sq_grad = {n: np.zeros_like(t.data) for n, t in dense}
+        sq_update = {n: np.zeros_like(t.data) for n, t in dense}
+        for step in range(20):
+            for params in (lazy, dense):
+                rng = np.random.default_rng(step)
+                for _, t in params:
+                    t.grad = rng.standard_normal(t.data.shape)
+            tr.adadelta_step(lazy, st, clip_norm=3.0)
+            dense_adadelta_step(dense, sq_grad, sq_update, clip_norm=3.0)
+        for (name, a), (_, b) in zip(lazy, dense):
+            assert a.data.tobytes() == b.data.tobytes()
+            assert st.sq_grad[name].tobytes() == sq_grad[name].tobytes()
+            assert st.sq_update[name].tobytes() == sq_update[name].tobytes()
+
+    def test_untouched_rows_bitwise_unchanged(self):
+        params = table_params()
+        st = tr.AdaDeltaState.for_params(params)
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            lookup_grads(params, rng.integers(0, 30, 40), rng)
+            tr.adadelta_step(params, st)
+        table = params[0][1]
+        before = [table.data.copy(), st.sq_grad["emb.table"].copy(),
+                  st.sq_update["emb.table"].copy()]
+        lookup_grads(params, np.array([1, 3, 3]), rng)
+        tr.adadelta_step(params, st)
+        after = [table.data, st.sq_grad["emb.table"], st.sq_update["emb.table"]]
+        untouched = np.setdiff1d(np.arange(30), [1, 3])
+        for old, new in zip(before, after):
+            assert old[untouched].tobytes() == new[untouched].tobytes()
+            assert not np.array_equal(old[[1, 3]], new[[1, 3]])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_table_row_names_parameter(self, bad):
+        params = table_params()
+        st = tr.AdaDeltaState.for_params(params)
+        lookup_grads(params, np.array([2, 5]), np.random.default_rng(4))
+        params[0][1].grad[7, 1] = bad
+        before = [t.data.copy() for _, t in params]
+        with pytest.raises(NumericError, match="emb.table"):
+            tr.adadelta_step(params, st)
+        assert all(b.tobytes() == t.data.tobytes()
+                   for b, (_, t) in zip(before, params))
+
+    def test_state_keeps_full_shape_arrays_by_name(self):
+        # perfbench's tracer reads sq_grad / sq_update by parameter name at
+        # the parameter's shape to count the entries a step changes.
+        params = table_params() + [("s", Tensor(1.5, requires_grad=True))]
+        st = tr.AdaDeltaState.for_params(params)
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            lookup_grads(params[:3], np.array([0, 4]), rng)
+            params[3][1].grad = np.array(0.5)
+            tr.adadelta_step(params, st)
+        names = [name for name, _ in params]
+        for acc in (st.sq_grad, st.sq_update):
+            assert list(acc) == names
+            for name, t in params:
+                assert acc[name].shape == t.data.shape
+                assert acc[name].dtype == np.float64
+
+
 def tiny_train_cfg(**overrides):
     base = dict(epochs=2, batch_size=2, seed=0)
     base.update(overrides)
@@ -234,6 +371,16 @@ class TestTrainLoop:
         assert all(np.isfinite(h["train_loss"]) for h in hist)
         assert all(h["dev_metric"] is None for h in hist)
         assert all(h["wall_time"] >= 0.0 for h in hist)
+
+    def test_history_counts_steps_and_throughput(self):
+        data = keyword_classification(n=7, seed=0)
+        m = Cn3Model(ModelConfig(task="classify", layers=1, d_word=4, d_h=4,
+                                 d_a=3, seed=0), data)
+        hist = tr.train(m, data, tiny_train_cfg(epochs=2, batch_size=3),
+                        dev_data=data)
+        for h in hist:
+            assert h["steps"] == 3  # 7 examples in batches of 3
+            assert h["examples_per_s"] == pytest.approx(7 / h["wall_time"])
 
     def test_training_is_bit_deterministic(self):
         def run():

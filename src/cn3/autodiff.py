@@ -7,10 +7,13 @@ lengths differ per example and the graph shape follows the data).
 
 Every backward pass delivers a gradient the same way, through ``_accum``:
 each tensor owns one gradient buffer, allocated on first use, and every
-contribution is added into it in place. The index ops (``gather_rows``,
-``take``, ``max_rows``) share one primitive whose backward adds the
-incoming gradient at the index it read from, so repeated indices add up
-and nothing of the parent's size is built besides its one buffer.
+contribution is added into it in place. The index ops (``slice_rows``,
+``gather_rows``, ``take``, ``max_rows``) share one primitive whose
+backward adds the incoming gradient at the index it read from, so nothing
+of the parent's size is built besides its one buffer. At a basic slice,
+where no index can repeat, the add is a plain ``+=`` into the sliced
+view; at any other index it is ``np.add.at``, so repeated indices add up.
+``slice_rows``' forward result is a view, not a copy.
 
 Inside a ``no_grad()`` block no tape is recorded: results have no
 parents and require no gradient, so intermediates are freed as soon as
@@ -142,8 +145,9 @@ def _result(data: np.ndarray, parents: tuple[Tensor, ...], op: str,
 def _accum(t: Tensor, g: np.ndarray, at=None) -> None:
     """Add g into t's one gradient buffer; with at, add at that index.
 
-    g broadcasts against t (or against t.grad[at]); indices repeated in at
-    add up.
+    g broadcasts against t (or against t.grad[at]). A slice cannot repeat
+    an index, so it takes a plain in-place add; any other index goes
+    through np.add.at, where repeated indices add up.
     """
     if not t.requires_grad:
         return
@@ -151,6 +155,8 @@ def _accum(t: Tensor, g: np.ndarray, at=None) -> None:
         t.grad = np.zeros_like(t.data)
     if at is None:
         t.grad += g
+    elif isinstance(at, slice):
+        t.grad[at] += g
     else:
         np.add.at(t.grad, at, g)
 
@@ -357,6 +363,18 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
 
     return _result(np.concatenate([p.data for p in parts], axis=0),
                    tuple(parts), "concat_rows", back)
+
+
+def slice_rows(x, lo: int, hi: int) -> Tensor:
+    """Rows lo..hi-1 of x as a view; backward adds into that slice in place."""
+    x = as_tensor(x)
+    if x.ndim != 2:
+        raise ShapeError(f"slice_rows expects 2-D, got {x.shape}")
+    if lo >= hi:
+        raise ShapeError(f"slice_rows with no rows: [{lo}, {hi})")
+    if lo < 0 or hi > x.shape[0]:
+        raise IndexError(f"row slice [{lo}, {hi}) out of range [0, {x.shape[0]})")
+    return _index(x, slice(lo, hi), "slice_rows")
 
 
 def gather_rows(x, ids: Iterable[int]) -> Tensor:

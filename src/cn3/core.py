@@ -10,7 +10,9 @@ parameter sharing; node and edge attributes are computed once and reused.
 The pair scores are evaluated in factored form: the scorer's weight
 matrix is linear in each block of the pair's concatenated features, so
 each token is projected once as a source and once as a target, and the
-relation table once; ``autodiff.pair_scores`` then adds the three rows
+relation table once, each through a row block of the weight matrix read
+by slice (a view, whose gradient is added back without a scatter);
+``autodiff.pair_scores`` then adds the three rows
 for every pair, applies tanh and projects onto u, block by block. A
 layer's scoring costs O(n*d_cat*d_a + r*d_e*d_a + n^2*d_a) for r
 relations, instead of O(n^2*d_cat*d_a), and keeps one [n^2, d_a] array
@@ -98,9 +100,12 @@ def edge_scores(h: Tensor, v: Tensor | None, e: EdgeAttrs,
     W is linear in each block, so the product is evaluated in factored
     form: a source term [h_i, v_i] @ W_src and a target term
     [h_k, v_k] @ W_tgt, each computed once per token, plus an edge term
-    taken from the relation table projected once, e.table @ W_e. The
-    [n*n, d_cat] concatenation is never built; autodiff.pair_scores joins
-    the terms pair by pair.
+    taken from the relation table projected once, e.table @ W_e. Each
+    block of W is read by slice (autodiff.slice_rows), a view whose
+    gradient is added back in place; the target term is h_k @ W_hk plus
+    v_k @ W_vk, since its two blocks are not adjacent. The [n*n, d_cat]
+    concatenation is never built; autodiff.pair_scores joins the terms
+    pair by pair.
     """
     n, d_h = h.shape
     d_v = 0 if v is None else v.shape[1]
@@ -113,15 +118,16 @@ def edge_scores(h: Tensor, v: Tensor | None, e: EdgeAttrs,
         raise ad.ShapeError(f"h {h.shape}, v width {d_v} and relation table "
                             f"{e.table.shape} do not fill the {d_cat} rows "
                             "of w_score")
-    # w_score row blocks, in order: h_k, h_i, v_i, v_k, e_ik.
-    rows = np.arange(d_cat)
-    src_rows = rows[d_h:2 * d_h + d_v]
-    tgt_rows = np.concatenate([rows[:d_h], rows[2 * d_h + d_v:2 * d_h + 2 * d_v]])
-    edge_rows = rows[2 * d_h + 2 * d_v:]
-    hv = h if v is None else ad.concat_cols([h, v])                  # [n, d_h + d_v]
-    src = ad.matmul(hv, ad.gather_rows(p.w_score, src_rows))         # [n, d_a]
-    tgt = ad.matmul(hv, ad.gather_rows(p.w_score, tgt_rows))         # [n, d_a]
-    rel = ad.matmul(e.table, ad.gather_rows(p.w_score, edge_rows))   # [r, d_a]
+    # w_score row blocks, in order: h_k, h_i, v_i, v_k, e_ik. These are the
+    # first rows of h_i (source term), v_k and e_ik.
+    h_i, v_k, e_ik = d_h, 2 * d_h + d_v, 2 * d_h + 2 * d_v
+    w = p.w_score
+    hv = h if v is None else ad.concat_cols([h, v])           # [n, d_h + d_v]
+    src = ad.matmul(hv, ad.slice_rows(w, h_i, v_k))           # [n, d_a]
+    tgt = ad.matmul(h, ad.slice_rows(w, 0, h_i))              # [n, d_a]
+    if v is not None:
+        tgt = tgt + ad.matmul(v, ad.slice_rows(w, v_k, e_ik))
+    rel = ad.matmul(e.table, ad.slice_rows(w, e_ik, d_cat))   # [r, d_a]
     return ad.pair_scores(src, tgt, rel, e.ids, p.u)
 
 

@@ -161,7 +161,7 @@ def encode_chars(char_ids: Iterable[Iterable[int]], table: EmbeddingTable,
 
     pooled = []
     for start, stop in spans:
-        token_rows = ad.gather_rows(conv_out, range(start, stop))
+        token_rows = ad.slice_rows(conv_out, start, stop)
         pooled.append(ad.reshape(ad.max_rows(token_rows), (1, conv_out.shape[1])))
     return ad.concat_rows(pooled) if len(pooled) > 1 else pooled[0]
 

@@ -91,13 +91,16 @@ def _touched(name: str, t: Tensor, state: AdaDeltaState):
     """Where a step updates `t`, and the gradient there; None for nowhere.
 
     All of a 0-D or 1-D parameter, a missing gradient counting as zero.
-    Of a 2-D one, the rows whose gradient has a nonzero entry (NaN too).
+    Of a 2-D one, the rows whose gradient has a nonzero entry (NaN too);
+    when that is every row, the whole array, so the step runs on views.
     """
     if name not in state.last_step:
         return ..., (np.zeros_like(t.data) if t.grad is None else t.grad)
     if t.grad is None:
         return None
     rows = np.flatnonzero(t.grad.any(axis=1))
+    if rows.size == t.shape[0]:
+        return slice(None), t.grad
     return (rows, t.grad[rows]) if rows.size else None
 
 
@@ -132,11 +135,21 @@ def adadelta_step(params: Sequence[tuple[str, Tensor]], state: AdaDeltaState,
             # rho^(k-1) for the k-1 steps that left these rows untouched
             lag = rho ** (state.step - 1 - state.last_step[name][idx])[:, None]
             state.last_step[name][idx] = state.step
-        eg = state.sq_grad[name][idx] * (lag * rho) + (1.0 - rho) * g * g
-        ex = state.sq_update[name][idx] * lag
-        delta = -np.sqrt(ex + eps) / np.sqrt(eg + eps) * g
-        state.sq_grad[name][idx] = eg
-        state.sq_update[name][idx] = rho * ex + (1.0 - rho) * delta * delta
+        # In place: eg and ex are views of the accumulators unless idx
+        # gathers rows, whose copies are written back at the end.
+        eg = state.sq_grad[name][idx]
+        eg *= lag * rho
+        eg += (1.0 - rho) * g * g
+        ex = state.sq_update[name][idx]
+        ex *= lag
+        delta = np.sqrt(ex + eps)
+        delta /= -np.sqrt(eg + eps)
+        delta *= g
+        ex *= rho
+        ex += (1.0 - rho) * delta * delta
+        if isinstance(idx, np.ndarray):
+            state.sq_grad[name][idx] = eg
+            state.sq_update[name][idx] = ex
         t.data[idx] += delta
 
 

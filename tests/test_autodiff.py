@@ -287,6 +287,49 @@ class TestStructureOps:
         with pytest.raises(IndexError):
             ad.gather_rows(Tensor(np.ones((2, 2))), [2])
 
+    def test_accum_at_slice_bitwise_equals_add_at(self):
+        rng = np.random.default_rng(5)
+        start = rng.normal(size=(7, 3))
+        by_slice = Tensor(np.zeros((7, 3)), requires_grad=True)
+        by_add_at = Tensor(np.zeros((7, 3)), requires_grad=True)
+        by_slice.grad, by_add_at.grad = start.copy(), start.copy()
+        for lo, hi in [(2, 5), (0, 7), (4, 7), (2, 5)]:
+            g = rng.normal(size=(hi - lo, 3))
+            ad._accum(by_slice, g, slice(lo, hi))
+            np.add.at(by_add_at.grad, np.arange(lo, hi), g)
+        assert by_slice.grad.tobytes() == by_add_at.grad.tobytes()
+
+    @pytest.mark.parametrize("lo,hi", [(0, 2), (3, 5), (0, 5)])
+    def test_slice_rows_gradient(self, lo, hi):
+        # A leading block, a trailing block and the full height, read next
+        # to an overlapping gather, so both kinds of add meet in one buffer.
+        rng = np.random.default_rng(12)
+        x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(hi - lo, 3)))
+        w2 = Tensor(rng.normal(size=(3, 3)))
+
+        def f():
+            return (ad.sum_all(ad.sigmoid(ad.slice_rows(x, lo, hi)) * w)
+                    + ad.sum_all(ad.gather_rows(x, [1, 3, 1]) * w2))
+
+        assert ad.grad_check(f, [x]) < 1e-7
+
+    def test_slice_rows_is_a_view_without_tape(self):
+        x = Tensor(np.arange(12, dtype=float).reshape(4, 3), requires_grad=True)
+        with ad.no_grad():
+            s = ad.slice_rows(x, 1, 3)
+        np.testing.assert_array_equal(s.data, x.data[1:3])
+        assert np.shares_memory(s.data, x.data)
+        assert s._parents == ()
+
+    @pytest.mark.parametrize("shape,lo,hi,error", [
+        ((4, 2), 2, 2, ShapeError), ((4, 2), 3, 1, ShapeError),
+        ((4, 2), -1, 2, IndexError), ((4, 2), 1, 5, IndexError),
+        ((4,), 0, 2, ShapeError)])
+    def test_slice_rows_rejects_bad_slices(self, shape, lo, hi, error):
+        with pytest.raises(error):
+            ad.slice_rows(Tensor(np.ones(shape)), lo, hi)
+
     def test_take_flat_indices(self):
         x = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
         t = ad.take(x, [3, 0])

@@ -133,6 +133,53 @@ class TestEdgeScores:
                     stack.append(parent)
         assert walked > 1, "walk found no tape"
 
+    @pytest.mark.parametrize("with_v", [True, False])
+    def test_w_score_read_by_slice_not_gather(self, with_v):
+        n, d_v = 4, 2 if with_v else 0
+        p = init_layer(3, d_v, 2, 3, rng(33))
+        h = Tensor(rng(34).normal(size=(n, 3)), requires_grad=True)
+        v = Tensor(rng(35).normal(size=(n, 2))) if with_v else None
+        out = edge_scores(h, v, shared_edges(n, 2, 36), p)
+        readers, seen, stack = [], {id(out)}, [out]
+        while stack:
+            t = stack.pop()
+            if any(parent is p.w_score for parent in t._parents):
+                readers.append(t._op)
+            for parent in t._parents:
+                if id(parent) not in seen:
+                    seen.add(id(parent))
+                    stack.append(parent)
+        assert readers == ["slice_rows"] * (4 if with_v else 3)
+
+    @pytest.mark.parametrize("n", [1, 4])
+    @pytest.mark.parametrize("with_v", [True, False])
+    def test_w_score_gradient_matches_gather_reference(self, n, with_v):
+        d_h, d_v, d_e = 3, 2 if with_v else 0, 2
+        p = init_layer(d_h, d_v, d_e, 3, rng(37))
+        h = Tensor(rng(38).normal(size=(n, d_h)), requires_grad=True)
+        v = Tensor(rng(39).normal(size=(n, d_v)), requires_grad=True) if with_v else None
+        e = shared_edges(n, d_e, 40)
+        w = Tensor(rng(41).normal(size=(n, n)))
+
+        def gathered():
+            # Reference: the same scorer reading the blocks by row gather.
+            rows = np.arange(p.w_score.shape[0])
+            src_rows = rows[d_h:2 * d_h + d_v]
+            tgt_rows = np.concatenate([rows[:d_h],
+                                       rows[2 * d_h + d_v:2 * d_h + 2 * d_v]])
+            hv = h if v is None else ad.concat_cols([h, v])
+            src = ad.matmul(hv, ad.gather_rows(p.w_score, src_rows))
+            tgt = ad.matmul(hv, ad.gather_rows(p.w_score, tgt_rows))
+            rel = ad.matmul(e.table, ad.gather_rows(p.w_score, rows[2 * d_h + 2 * d_v:]))
+            return ad.pair_scores(src, tgt, rel, e.ids, p.u)
+
+        grads = []
+        for scores in (lambda: edge_scores(h, v, e, p), gathered):
+            p.w_score.grad = None
+            ad.backward(ad.sum_all(scores() * w))
+            grads.append(p.w_score.grad)
+        np.testing.assert_allclose(grads[0], grads[1], rtol=0, atol=1e-12)
+
     def test_shape_mismatch_rejected(self):
         p = init_layer(3, 2, 2, 4, rng(12))
         h = Tensor(rng(13).normal(size=(2, 3)))

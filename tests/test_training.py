@@ -299,6 +299,10 @@ class TestLazyAdaDelta:
                 rng = np.random.default_rng(step)
                 for _, t in params:
                     t.grad = rng.standard_normal(t.data.shape)
+            # Every row of both 2-D parameters is touched, so the step
+            # runs on the whole arrays, not on gathered rows.
+            for name, t in lazy[:2]:
+                assert tr._touched(name, t, st)[0] == slice(None)
             tr.adadelta_step(lazy, st, clip_norm=3.0)
             dense_adadelta_step(dense, sq_grad, sq_update, clip_norm=3.0)
         for (name, a), (_, b) in zip(lazy, dense):

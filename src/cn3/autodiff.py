@@ -23,12 +23,14 @@ Broadcasting is deliberately narrow: binary elementwise ops accept equal
 shapes, or a 2-D left operand with a row-vector right operand (bias add,
 row-wise gating). Everything else must match exactly.
 
-Two fused ops put on the tape as one node, with a hand-written backward
-pass, what would otherwise take hundreds of nodes. ``pair_scores``, the
-pair scorer, adds a per-source row, a per-target row and a relation row
-for every ordered pair, applies tanh and projects onto a vector, in
-blocks of source rows. ``lstm_scan`` runs one direction of an LSTM over
-the rows of a matrix and backpropagates through time.
+Three fused ops put on the tape as one node, with a hand-written backward
+pass, what would otherwise take dozens to hundreds of nodes.
+``pair_scores``, the pair scorer, adds a per-source row, a per-target row
+and a relation row for every ordered pair, applies tanh and projects onto
+a vector, in blocks of source rows. ``lstm_scan`` runs one direction of an
+LSTM over the rows of a matrix and backpropagates through time.
+``crf_log_partition`` runs a linear-chain CRF's forward algorithm, and its
+backward pass delivers the forward-backward marginals.
 """
 
 from __future__ import annotations
@@ -557,6 +559,64 @@ def lstm_scan(xs, w_input, w_hidden, bias, reverse: bool = False) -> Tensor:
     return _result(out, (xs, w_input, w_hidden, bias), "lstm_scan", back)
 
 
+def crf_log_partition(emit, trans, start) -> Tensor:
+    """log Z of a linear-chain CRF, a 0-d result:
+
+        log sum over y of exp(start[y_0] + sum_i emit[i, y_i]
+                              + sum_{i>0} trans[y_{i-1}, y_i])
+
+    with emit [n, m], trans [m, m] indexed [prev, next] and start [m]. The
+    forward pass is the forward algorithm in log space; it keeps its
+    [n, m] table alpha, the log-sum over the tag prefixes that end at
+    position i in tag y. The backward pass delivers the marginals
+    (Lafferty et al. 2001): P(y_i = y) to emit[i, y], sum_i P(y_{i-1} = a,
+    y_i = b) to trans[a, b] and P(y_0) to start. It runs the backward
+    recursion on the marginals themselves rather than on beta: with
+    w[i, a, b] = exp(alpha[i, a] + trans[a, b] + emit[i+1, b]
+    - alpha[i+1, b]), the share of alpha[i+1, b] that came through tag a,
+
+        P(y_i = a) = sum_b w[i, a, b] P(y_{i+1} = b)
+
+    starting from P(y_{n-1}) = softmax(alpha[n-1]), and the pair marginal
+    is w[i, a, b] P(y_{i+1} = b). Every w is a probability, so nothing
+    overflows, and all n - 1 of them come from one vectorised expression.
+    A non-finite score gives a NaN log Z, so that a diverged model shows
+    as a non-finite loss.
+    """
+    emit, trans, start = (as_tensor(t) for t in (emit, trans, start))
+    if emit.ndim != 2:
+        raise ShapeError(f"crf_log_partition: emit must be an [n, m] "
+                         f"matrix, got {emit.shape}")
+    n, m = emit.shape
+    if trans.shape != (m, m) or start.shape != (m,):
+        raise ShapeError(f"crf_log_partition: trans {trans.shape} and start "
+                         f"{start.shape} must be [{m}, {m}] and [{m}]")
+    parents = (emit, trans, start)
+    alpha = np.full((n, m), np.nan)
+    log_z = np.float64(np.nan)
+    if all(np.isfinite(t.data).all() for t in parents):
+        alpha[0] = start.data + emit.data[0]
+        for i in range(1, n):
+            # a log-sum-exp over the previous tag, column by column
+            alpha[i] = np.logaddexp.reduce(alpha[i - 1][:, None] + trans.data,
+                                           axis=0) + emit.data[i]
+        log_z = np.logaddexp.reduce(alpha[-1])
+
+    def back(g):
+        w = np.exp(alpha[:-1, :, None] + trans.data
+                   + (emit.data[1:] - alpha[1:])[:, None, :])
+        marg = np.empty((n, m))
+        marg[-1] = np.exp(alpha[-1] - log_z)
+        for i in range(n - 2, -1, -1):
+            np.dot(w[i], marg[i + 1], out=marg[i])
+        w *= marg[1:, None, :]
+        _accum(emit, g * marg)
+        _accum(trans, g * w.sum(axis=0))
+        _accum(start, g * marg[0])
+
+    return _result(log_z, parents, "crf_log_partition", back)
+
+
 def take(x, flat_ids: Iterable[int]) -> Tensor:
     """Pick elements by flat (row-major) index into a 1-D result."""
     x = as_tensor(x)
@@ -628,28 +688,6 @@ def max_rows(x) -> Tensor:
     if x.ndim != 2 or x.shape[0] == 0:
         raise ShapeError(f"max_rows expects a non-empty 2-D tensor, got {x.shape}")
     return _index(x, (x.data.argmax(axis=0), np.arange(x.shape[1])), "max_rows")
-
-
-def logsumexp_row(x) -> Tensor:
-    """Per-row log-sum-exp with max-shift; a 1-D input reduces to a scalar."""
-    x = as_tensor(x)
-    if x.ndim == 1:
-        m = x.data.max()
-        out = m + np.log(np.exp(x.data - m).sum())
-
-        def back1(g):
-            _accum(x, np.exp(x.data - out) * g)
-
-        return _result(np.float64(out), (x,), "logsumexp_row", back1)
-    if x.ndim != 2 or x.shape[1] == 0:
-        raise ShapeError(f"logsumexp_row expects 1-D or 2-D, got {x.shape}")
-    m = x.data.max(axis=1, keepdims=True)
-    out = (m + np.log(np.exp(x.data - m).sum(axis=1, keepdims=True))).reshape(-1)
-
-    def back(g):
-        _accum(x, np.exp(x.data - out[:, None]) * g[:, None])
-
-    return _result(out, (x,), "logsumexp_row", back)
 
 
 def sum_all(x) -> Tensor:

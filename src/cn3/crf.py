@@ -4,8 +4,10 @@ The log-potential of a tag sequence is a trainable start score for the
 first tag, an emission score per position, and a transition score per
 adjacent tag pair. The first position's emission is included alongside
 the start vector: without it the first tag would be unscored. All
-computation stays in log space; the partition function uses the forward
-algorithm and decoding uses max-product with backpointers.
+computation stays in log space. The partition function is one tape node,
+``autodiff.crf_log_partition``: its forward pass is the forward algorithm
+and its backward pass the forward-backward marginals, so its tape does not
+grow with sentence length. Decoding uses max-product with backpointers.
 
 Tag sequences are plain id lists; every op validates length and range.
 """
@@ -69,11 +71,6 @@ def emission_scores(H: Tensor, p: CrfParams) -> Tensor:
     return ad.matmul(H, p.w_emit) + p.b_emit
 
 
-def _emit_row(emit: Tensor, i: int) -> Tensor:
-    m = emit.shape[1]
-    return ad.take(emit, range(i * m, (i + 1) * m))
-
-
 def sequence_score(emit: Tensor, y: Sequence[int], p: CrfParams) -> Tensor:
     """Log-potential of one tag sequence; a scalar on the tape."""
     n, m = emit.shape
@@ -90,14 +87,7 @@ def sequence_score(emit: Tensor, y: Sequence[int], p: CrfParams) -> Tensor:
 
 def log_partition(emit: Tensor, p: CrfParams) -> Tensor:
     """log sum over all label sequences of exp(sequence_score), forward DP."""
-    n, m = emit.shape
-    alpha = p.start + _emit_row(emit, 0)  # [m]
-    trans_t = ad.transpose(p.trans)       # [next, prev]
-    for i in range(1, n):
-        # B[next][prev] = alpha[prev] + trans[prev][next]
-        scores = trans_t + alpha
-        alpha = ad.logsumexp_row(scores) + _emit_row(emit, i)
-    return ad.logsumexp_row(alpha)
+    return ad.crf_log_partition(emit, p.trans, p.start)
 
 
 def nll_loss(emit: Tensor, y: Sequence[int], p: CrfParams) -> Tensor:

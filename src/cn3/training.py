@@ -129,7 +129,8 @@ def adadelta_step(params: Sequence[tuple[str, Tensor]], state: AdaDeltaState,
     rho, eps = state.rho, state.eps
     state.step += 1
     for name, t, idx, g in updates:
-        g = g * scale
+        if scale != 1.0:
+            g = g * scale  # a copy: g may be the parameter's own gradient
         lag = 1.0
         if name in state.last_step:
             # rho^(k-1) for the k-1 steps that left these rows untouched

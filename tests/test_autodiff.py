@@ -234,22 +234,6 @@ class TestReductions:
     def test_mean_rows_shape_is_1d(self):
         assert ad.mean_rows(Tensor(np.ones((4, 3)))).shape == (3,)
 
-    def test_logsumexp_stability(self):
-        out = ad.logsumexp_row(Tensor([1000.0, 1000.0])).item()
-        assert abs(out - (1000.0 + math.log(2.0))) < 1e-9
-
-    def test_logsumexp_2d_rowwise(self):
-        x = np.array([[0.0, 0.0], [1.0, 2.0]])
-        got = ad.logsumexp_row(Tensor(x)).data
-        expect = np.log(np.exp(x).sum(axis=1))
-        np.testing.assert_allclose(got, expect, atol=1e-12)
-
-    def test_logsumexp_gradient_is_softmax(self):
-        x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
-        ad.backward(ad.logsumexp_row(x))
-        np.testing.assert_allclose(x.grad, ad.row_softmax(Tensor([[1.0, 2.0, 3.0]])).data[0],
-                                   atol=1e-12)
-
     def test_max_rows_gradient_goes_to_argmax(self):
         x = Tensor([[1.0, 5.0], [3.0, 1.0]], requires_grad=True)
         ad.backward(ad.sum_all(ad.max_rows(x)))
@@ -538,6 +522,112 @@ class TestLstmScan:
                     ad.lstm_scan(**args)
         with pytest.raises(ShapeError):
             ad.lstm_scan(Tensor(np.ones(2)), w_input, w_hidden, bias)
+
+
+def crf_operands(n, m, seed, scale=1.0):
+    """emit [n, m], trans [m, m] and start [m], all requiring gradients."""
+    r = np.random.default_rng(seed)
+    return [Tensor(r.normal(scale=scale, size=s), requires_grad=True)
+            for s in ((n, m), (m, m), (m,))]
+
+
+def chain_log_partition(emit, trans, start):
+    """The forward algorithm as a chain of row log-sum-exps, in numpy."""
+
+    def logsumexp(x):
+        top = x.max(axis=-1, keepdims=True)
+        return (top + np.log(np.exp(x - top).sum(axis=-1, keepdims=True)))[..., 0]
+
+    alpha = start + emit[0]
+    for row in emit[1:]:
+        # scores[next][prev] = alpha[prev] + trans[prev][next]
+        alpha = logsumexp(trans.T + alpha) + row
+    return logsumexp(alpha)
+
+
+class TestCrfLogPartition:
+    @pytest.mark.parametrize("m", [2, 5])
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_matches_chain_formula(self, n, m):
+        operands = crf_operands(n, m, seed=10 * n + m)
+        got = ad.crf_log_partition(*operands)
+        assert got.shape == ()
+        want = chain_log_partition(*(t.data for t in operands))
+        assert abs(got.item() - want) < 1e-12
+
+    @pytest.mark.parametrize("m", [2, 5])
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_gradients_of_all_operands(self, n, m):
+        operands = crf_operands(n, m, seed=100 + 10 * n + m)
+        assert ad.grad_check(lambda: ad.crf_log_partition(*operands),
+                             operands) < 1e-6
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_gradients_are_marginals(self, n):
+        # Each position's tag marginals sum to 1, and so do the first
+        # position's; the pair marginals sum to 1 per adjacent pair.
+        emit, trans, start = crf_operands(n, 4, seed=200 + n)
+        ad.backward(ad.crf_log_partition(emit, trans, start))
+        np.testing.assert_allclose(emit.grad.sum(axis=1), np.ones(n),
+                                   rtol=0, atol=1e-12)
+        assert abs(trans.grad.sum() - (n - 1)) < 1e-12
+        assert abs(start.grad.sum() - 1.0) < 1e-12
+        np.testing.assert_allclose(start.grad, emit.grad[0], rtol=0, atol=0)
+        assert np.all(emit.grad >= 0) and np.all(trans.grad >= 0)
+
+    def test_large_scores_give_finite_log_z(self):
+        emit, trans, start = crf_operands(6, 3, seed=300, scale=1000.0)
+        got = ad.crf_log_partition(emit, trans, start).item()
+        assert np.isfinite(got)
+        assert abs(got - chain_log_partition(emit.data, trans.data,
+                                             start.data)) < 1e-9
+        equal = ad.crf_log_partition(Tensor([[1000.0, 1000.0]]),
+                                     Tensor(np.zeros((2, 2))),
+                                     Tensor(np.zeros(2))).item()
+        assert abs(equal - (1000.0 + math.log(2.0))) < 1e-9
+
+    def test_one_position_is_logsumexp(self):
+        emit = Tensor([[1.0, 2.0, 0.5]])
+        start = Tensor([0.0, -1.0, 3.0])
+        trans = Tensor(np.random.default_rng(301).normal(size=(3, 3)))
+        got = ad.crf_log_partition(emit, trans, start).item()
+        want = math.log(sum(math.exp(s + e) for s, e in
+                            zip(start.data, emit.data[0])))
+        assert abs(got - want) < 1e-12
+
+    def test_gradient_at_one_position_is_softmax(self):
+        emit, trans, start = crf_operands(1, 3, seed=302)
+        ad.backward(ad.crf_log_partition(emit, trans, start))
+        soft = ad.row_softmax(Tensor([start.data + emit.data[0]])).data
+        np.testing.assert_allclose(emit.grad, soft, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(start.grad, soft[0], rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(trans.grad, np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_score_gives_nan(self, bad):
+        for position in ((0, 0), (3, 1)):
+            emit, trans, start = crf_operands(5, 3, seed=303)
+            emit.data[position] = bad
+            with np.errstate(all="raise"):
+                got = ad.crf_log_partition(emit, trans, start)
+            assert math.isnan(got.item())
+
+    def test_no_grad_value_bitwise_equal(self):
+        operands = crf_operands(9, 5, seed=304)
+        taped = ad.crf_log_partition(*operands)
+        with ad.no_grad():
+            untaped = ad.crf_log_partition(*operands)
+        assert taped._parents and not untaped._parents
+        assert taped.data.tobytes() == untaped.data.tobytes()
+
+    def test_shape_mismatch(self):
+        emit, trans, start = crf_operands(3, 4, seed=305)
+        with pytest.raises(ShapeError):
+            ad.crf_log_partition(Tensor(np.ones(4)), trans, start)
+        with pytest.raises(ShapeError):
+            ad.crf_log_partition(emit, Tensor(np.ones((4, 3))), start)
+        with pytest.raises(ShapeError):
+            ad.crf_log_partition(emit, trans, Tensor(np.ones(3)))
 
 
 class TestBackwardMachinery:

@@ -127,6 +127,30 @@ class TestTrain:
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "model.cn3").exists()
 
+    def test_nan_emission_weight_exits_3(self, tmp_path, capsys, monkeypatch):
+        # A step that leaves a NaN CRF emission weight: the next batch's
+        # loss is non-finite, which ends the run as diverged.
+        from cn3 import training
+
+        real = training.adadelta_step
+
+        def poisoned_step(params, state, clip_norm=None):
+            real(params, state, clip_norm=clip_norm)
+            dict(params)["head.crf.w_emit"].data[0, 0] = np.nan
+
+        monkeypatch.setattr(training, "adadelta_step", poisoned_step)
+        train, _ = case_tagging(n_train=8, n_test=2, seed=0)
+        (tmp_path / "train.conll").write_text(serialize_conll(train))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("task = tag\ntrain_path = train.conll\n"
+                       "tag_col = 1\nlayers = 1\n"
+                       "d_word = 6\nd_h = 6\nd_a = 4\n"
+                       "epochs = 2\nbatch_size = 4\nmetric = token_accuracy\n")
+        assert entry(["train", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert "non-finite loss" in err and "Traceback" not in err
+        assert not (tmp_path / "model.cn3").exists()
+
     def test_divergence_keeps_completed_history(self, tmp_path, monkeypatch):
         # 12 examples in batches of 4: the fourth step is epoch 1's first.
         # The weight it poisons breaks epoch 1's second batch.

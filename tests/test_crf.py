@@ -138,6 +138,29 @@ class TestLogPartition:
         assert abs(total - 1.0) < 1e-8
 
 
+def tape_ops(out):
+    """Ops of the tape nodes behind out, leaves excluded."""
+    return [t._op for t in ad._topo_order(out) if t._parents]
+
+
+class TestTapeSize:
+    def test_log_partition_is_one_node(self):
+        p = make_params(4, seed=40)
+        emit = Tensor(rng(41).normal(size=(12, 4)), requires_grad=True)
+        out = log_partition(emit, p)
+        assert tape_ops(out) == ["crf_log_partition"]
+        assert out._parents == (emit, p.trans, p.start)
+
+    def test_nll_tape_does_not_grow_with_length(self):
+        p = make_params(4, seed=42)
+        sizes = []
+        for n in (3, 30):
+            emit = Tensor(rng(n).normal(size=(n, 4)), requires_grad=True)
+            tags = list(rng(n + 1).integers(0, 4, size=n))
+            sizes.append(len(tape_ops(nll_loss(emit, tags, p))))
+        assert sizes[0] == sizes[1]
+
+
 class TestNllLoss:
     def test_single_label_set_rejected(self):
         # a one-label chain is degenerate: every sequence has probability 1
@@ -171,6 +194,15 @@ class TestNllLoss:
             return nll_loss(emission_scores(H, p), tags, p)
 
         assert ad.grad_check(f, params) < 1e-4
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_emission_gives_non_finite_loss(self, bad):
+        # train() reads a non-finite loss as divergence. The gold path
+        # avoids the bad score, so only log Z can carry it.
+        p = make_params(3, seed=22)
+        emit = rng(23).normal(size=(4, 3))
+        emit[1, 2] = bad
+        assert not np.isfinite(nll_loss(Tensor(emit), [0, 1, 1, 2], p).item())
 
     def test_gradient_flows_into_all_params(self):
         p = make_params(3, d_h=2, seed=20)

@@ -425,6 +425,21 @@ class TestTrainLoop:
         after = m.snapshot()
         assert all(before[k].tobytes() == after[k].tobytes() for k in before)
 
+    def test_nan_emission_weight_diverges(self):
+        # A NaN CRF weight makes one emission column NaN at every position;
+        # the CRF loss must come out non-finite, so that train() stops
+        # before any step.
+        tagged, _ = case_tagging(n_train=4, n_test=1, seed=0)
+        m = Cn3Model(ModelConfig(task="tag", layers=1, d_word=4, d_h=4,
+                                 d_a=3, seed=0), tagged)
+        m.crf.w_emit.data[0, 0] = np.nan
+        before = m.snapshot()
+        with pytest.raises(tr.TrainingDiverged, match="non-finite loss") as err:
+            tr.train(m, tagged, tiny_train_cfg(metric="token_accuracy"))
+        assert err.value.history == []
+        after = m.snapshot()
+        assert all(before[k].tobytes() == after[k].tobytes() for k in before)
+
     def test_numeric_error_restores_and_raises(self, monkeypatch):
         # A weight poisoned after the first step makes the next batch's
         # softmax raise NumericError; train() must treat that as divergence.

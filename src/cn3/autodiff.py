@@ -13,7 +13,10 @@ backward adds the incoming gradient at the index it read from, so nothing
 of the parent's size is built besides its one buffer. At a basic slice,
 where no index can repeat, the add is a plain ``+=`` into the sliced
 view; at any other index it is ``np.add.at``, so repeated indices add up.
-``slice_rows``' forward result is a view, not a copy.
+``slice_rows``' forward result is a view, not a copy. ``max_rows`` is a
+segmented max: one node pools every segment of rows, such as the char
+windows of each token of a sentence, and reads each column of a segment
+at its first argmax row.
 
 Inside a ``no_grad()`` block no tape is recorded: results have no
 parents and require no gradient, so intermediates are freed as soon as
@@ -350,23 +353,6 @@ def concat_cols(parts: Sequence[Tensor]) -> Tensor:
                    tuple(parts), "concat_cols", back)
 
 
-def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    parts = [as_tensor(p) for p in parts]
-    if not parts:
-        raise ShapeError("concat_rows of nothing")
-    if any(p.ndim != 2 for p in parts) or len({p.shape[1] for p in parts}) != 1:
-        raise ShapeError(f"concat_rows: bad shapes {[p.shape for p in parts]}")
-    heights = [p.shape[0] for p in parts]
-    offsets = np.cumsum([0] + heights)
-
-    def back(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            _accum(p, g[lo:hi, :])
-
-    return _result(np.concatenate([p.data for p in parts], axis=0),
-                   tuple(parts), "concat_rows", back)
-
-
 def slice_rows(x, lo: int, hi: int) -> Tensor:
     """Rows lo..hi-1 of x as a view; backward adds into that slice in place."""
     x = as_tensor(x)
@@ -633,22 +619,27 @@ def take(x, flat_ids: Iterable[int]) -> Tensor:
 # ---------------------------------------------------------------------------
 # softmax and reductions
 
-def row_softmax(x) -> Tensor:
-    """Softmax along each row, stabilized by max-subtraction."""
+def col_softmax(x) -> Tensor:
+    """Softmax down each column, stabilized by max-subtraction.
+
+    The sums run along the rows of a transposed copy, the contiguous axis,
+    where numpy adds pairwise rather than one row at a time.
+    """
     x = as_tensor(x)
     if x.ndim != 2:
-        raise ShapeError(f"row_softmax expects 2-D, got {x.shape}")
+        raise ShapeError(f"col_softmax expects 2-D, got {x.shape}")
     if not np.all(np.isfinite(x.data)):
-        raise NumericError("row_softmax: non-finite input")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
+        raise NumericError("col_softmax: non-finite input")
+    xt = np.ascontiguousarray(x.data.T)
+    e = np.exp(xt - xt.max(axis=1, keepdims=True))
+    yt = e / e.sum(axis=1, keepdims=True)
 
     def back(g):
-        dot = (g * y).sum(axis=1, keepdims=True)
-        _accum(x, y * (g - dot))
+        gt = np.ascontiguousarray(g.T)
+        dot = (gt * yt).sum(axis=1, keepdims=True)
+        _accum(x, (yt * (gt - dot)).T)
 
-    return _result(y, (x,), "row_softmax", back)
+    return _result(yt.T, (x,), "col_softmax", back)
 
 
 def log_softmax_row(x) -> Tensor:
@@ -670,24 +661,40 @@ def log_softmax_row(x) -> Tensor:
 
 
 def mean_rows(x) -> Tensor:
-    """Average over the row index: [m, n] -> [n]."""
+    """Average over the row index: [m, n] -> [1, n]."""
     x = as_tensor(x)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ShapeError(f"mean_rows expects a non-empty 2-D tensor, got {x.shape}")
+    if x.ndim != 2:
+        raise ShapeError(f"mean_rows expects 2-D, got {x.shape}")
     m = x.shape[0]
 
     def back(g):
         _accum(x, g / m)
 
-    return _result(x.data.mean(axis=0), (x,), "mean_rows", back)
+    return _result(x.data.mean(axis=0, keepdims=True), (x,), "mean_rows", back)
 
 
-def max_rows(x) -> Tensor:
-    """Column-wise max over rows; gradient flows to the first argmax row."""
+def max_rows(x, starts: Sequence[int]) -> Tensor:
+    """Column-wise max over each segment of rows: [n, d] -> [len(starts), d].
+
+    Segment s runs from row starts[s] up to the next start, the last one to
+    row n. The gradient flows to each segment's first argmax row, and a NaN
+    counts as the max, as with np.argmax.
+    """
     x = as_tensor(x)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ShapeError(f"max_rows expects a non-empty 2-D tensor, got {x.shape}")
-    return _index(x, (x.data.argmax(axis=0), np.arange(x.shape[1])), "max_rows")
+    if x.ndim != 2:
+        raise ShapeError(f"max_rows expects 2-D, got {x.shape}")
+    at = np.asarray(starts, dtype=np.intp)
+    n = x.shape[0]
+    if (at.ndim != 1 or at.size == 0 or at[0] != 0 or at[-1] >= n
+            or np.any(at[1:] <= at[:-1])):
+        raise ShapeError(f"max_rows: segment starts {at.tolist()} must rise "
+                         f"strictly from 0 and stay below {n}")
+    peak = np.maximum.reduceat(x.data, at, axis=0)
+    hit = x.data == np.repeat(peak, np.diff(at, append=n), axis=0)
+    hit |= np.isnan(x.data)
+    first = np.minimum.reduceat(np.where(hit, np.arange(n)[:, None], n), at,
+                                axis=0)
+    return _index(x, (first, np.arange(x.shape[1])), "max_rows")
 
 
 def sum_all(x) -> Tensor:

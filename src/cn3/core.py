@@ -135,7 +135,7 @@ def normalize_alpha(s: Tensor) -> Tensor:
     """Column-wise softmax: alpha[:, k] distributes target k's attention over sources."""
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ad.ShapeError(f"score matrix must be square, got {s.shape}")
-    return ad.transpose(ad.row_softmax(ad.transpose(s)))
+    return ad.col_softmax(s)
 
 
 def aggregate(alpha: Tensor, h: Tensor) -> Tensor:

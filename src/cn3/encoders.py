@@ -142,28 +142,22 @@ def encode_chars(char_ids: Iterable[Iterable[int]], table: EmbeddingTable,
     pad = table.vocab.pad_id if table.vocab is not None else 0
     width = conv.width
     windows: list[list[int]] = []
-    spans: list[tuple[int, int]] = []
+    starts: list[int] = []
     for cs in char_ids:
         cs = list(cs)
         while len(cs) > 1 and cs[-1] == pad:
             cs.pop()
         if len(cs) < width:
             cs = cs + [pad] * (width - len(cs))
-        start = len(windows)
+        starts.append(len(windows))
         for j in range(len(cs) - width + 1):
             windows.append(cs[j:j + width])
-        spans.append((start, len(windows)))
 
     flat = [c for w in windows for c in w]
     emb = lookup(table, flat)                                  # [W*width, d_emb]
     stacked = ad.reshape(emb, (len(windows), width * emb.shape[1]))
     conv_out = ad.matmul(stacked, conv.weight) + conv.bias     # [W, d_out]
-
-    pooled = []
-    for start, stop in spans:
-        token_rows = ad.slice_rows(conv_out, start, stop)
-        pooled.append(ad.reshape(ad.max_rows(token_rows), (1, conv_out.shape[1])))
-    return ad.concat_rows(pooled) if len(pooled) > 1 else pooled[0]
+    return ad.max_rows(conv_out, starts)                       # [n, d_out]
 
 
 def bilstm_context(word_vecs: Tensor, params: BiLstmParams) -> Tensor:

@@ -1,9 +1,11 @@
 """Task heads over final node states: classify, tag, match.
 
-Classification mean-pools the node states and applies an affine map plus
-log-softmax. Tagging delegates to the CRF layer. Sentence-pair matching
-pools each side and classifies the standard combination
-[a, b, |a - b|, a * b]; the two encoders share parameters (siamese).
+Classification mean-pools the node states into one [1, d_h] row and
+applies an affine map plus log-softmax. Tagging delegates to the CRF
+layer. Sentence-pair matching pools each side and classifies the standard
+combination [a, b, |a - b|, a * b]; the two encoders share parameters
+(siamese). Both class heads return a [1, num_classes] row of log
+probabilities.
 """
 
 from __future__ import annotations
@@ -44,32 +46,24 @@ def init_classifier(d_in: int, num_classes: int,
 
 
 def _log_probs(features: Tensor, p: ClassifierParams) -> Tensor:
-    row = ad.reshape(features, (1, features.shape[0]))
-    logits = ad.matmul(row, p.w_cls) + p.b_cls
-    return ad.reshape(ad.log_softmax_row(logits), (p.num_classes,))
+    return ad.log_softmax_row(ad.matmul(features, p.w_cls) + p.b_cls)
 
 
 def graph_pool_classify(H: Tensor, p: ClassifierParams) -> Tensor:
-    """Log class distribution from the mean of all node states."""
+    """[1, num_classes] log class distribution from the mean of all node states."""
     return _log_probs(ad.mean_rows(H), p)
 
 
 def pair_classify(H_a: Tensor, H_b: Tensor, p: ClassifierParams) -> Tensor:
-    """Log class distribution for a sentence pair.
+    """[1, num_classes] log class distribution for a sentence pair.
 
-    Features are [a, b, |a - b|, a * b] over the two pooled vectors, so the
-    classifier input width must be 4 * d_h. The order of the first two
-    blocks makes the head asymmetric in (A, B).
+    Features are [a, b, |a - b|, a * b] over the two pooled [1, d_h]
+    vectors, so the classifier input width must be 4 * d_h. The order of
+    the first two blocks makes the head asymmetric in (A, B).
     """
     a = ad.mean_rows(H_a)
     b = ad.mean_rows(H_b)
-    feats = ad.concat_cols([
-        ad.reshape(a, (1, a.shape[0])),
-        ad.reshape(b, (1, b.shape[0])),
-        ad.reshape(ad.absval(a - b), (1, a.shape[0])),
-        ad.reshape(a * b, (1, a.shape[0])),
-    ])
-    return _log_probs(ad.reshape(feats, (feats.shape[1],)), p)
+    return _log_probs(ad.concat_cols([a, b, ad.absval(a - b), a * b]), p)
 
 
 def node_crf_head(H: Tensor, crf: CrfParams,
@@ -82,8 +76,9 @@ def node_crf_head(H: Tensor, crf: CrfParams,
 
 
 def nll_of_class(log_probs: Tensor, label: int) -> Tensor:
-    """Scalar negative log-likelihood of one class under a log-distribution."""
-    if not 0 <= label < log_probs.shape[0]:
-        raise ValueError(f"label {label} outside [0, {log_probs.shape[0]})")
+    """Scalar negative log-likelihood of one class under a [1, m] log-distribution."""
+    classes = log_probs.shape[1]
+    if not 0 <= label < classes:
+        raise ValueError(f"label {label} outside [0, {classes})")
     pick = ad.take(log_probs, [label])
     return ad.scale(ad.sum_all(pick), -1.0)

@@ -169,41 +169,61 @@ class TestUnaries:
 
 class TestSoftmax:
     def test_uniform_rows(self):
-        y = ad.row_softmax(Tensor(np.zeros((2, 4)))).data
-        np.testing.assert_allclose(y, np.full((2, 4), 0.25), atol=1e-15)
+        y = ad.col_softmax(Tensor(np.zeros((4, 2)))).data
+        np.testing.assert_allclose(y, np.full((4, 2), 0.25), atol=1e-15)
 
     def test_shift_invariance(self):
-        x = np.array([[1.0, 2.0, 3.0]])
-        a = ad.row_softmax(Tensor(x)).data
-        b = ad.row_softmax(Tensor(x + 123.0)).data
+        x = np.array([[1.0], [2.0], [3.0]])
+        a = ad.col_softmax(Tensor(x)).data
+        b = ad.col_softmax(Tensor(x + 123.0)).data
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_large_inputs_analytic(self):
-        y = ad.row_softmax(Tensor([[1000.0, 1001.0]])).data
+        y = ad.col_softmax(Tensor([[1000.0], [1001.0]])).data
         expected = 1.0 / (1.0 + math.e)
         assert abs(y[0, 0] - expected) < 1e-12
-        assert abs(y[0, 1] - (1.0 - expected)) < 1e-12
+        assert abs(y[1, 0] - (1.0 - expected)) < 1e-12
 
     def test_nonfinite_rejected(self):
         with pytest.raises(NumericError):
-            ad.row_softmax(Tensor([[1.0, np.inf]]))
+            ad.col_softmax(Tensor([[1.0], [np.inf]]))
         with pytest.raises(NumericError):
             ad.log_softmax_row(Tensor([[np.nan, 0.0]]))
 
     def test_log_softmax_agrees_with_log_of_softmax(self):
         x = Tensor(np.random.default_rng(2).normal(size=(3, 5)))
-        np.testing.assert_allclose(ad.log_softmax_row(x).data,
-                                   np.log(ad.row_softmax(x).data), atol=1e-12)
+        np.testing.assert_allclose(
+            ad.log_softmax_row(x).data,
+            np.log(ad.col_softmax(Tensor(x.data.T)).data).T, atol=1e-12)
 
     def test_softmax_gradient(self):
-        x = Tensor(np.random.default_rng(3).normal(size=(2, 4)), requires_grad=True)
-        w = np.random.default_rng(4).normal(size=(2, 4))
+        x = Tensor(np.random.default_rng(3).normal(size=(4, 2)), requires_grad=True)
+        w = np.random.default_rng(4).normal(size=(4, 2))
 
         def f():
-            return ad.sum_all(ad.row_softmax(x) * Tensor(w))
+            return ad.sum_all(ad.col_softmax(x) * Tensor(w))
 
         ad.backward(f())
         np.testing.assert_allclose(x.grad, central_diff(f, x), atol=1e-7)
+
+    def test_col_softmax_bitwise_equals_softmax_of_each_column(self):
+        # Each column's sums run in the order of a 1-D sum over that
+        # column, whatever the matrix size: column k of the result and of
+        # its gradient equals the softmax of column k alone.
+        rng = np.random.default_rng(13)
+        for n in (3, 17, 130):
+            x = Tensor(5.0 * rng.normal(size=(n, n)), requires_grad=True)
+            g = rng.normal(size=(n, n))
+            y = ad.col_softmax(x)
+            ad.backward(ad.sum_all(y * Tensor(g)))
+            for k in range(n):
+                col = x.data[:, k].copy()
+                e = np.exp(col - col.max())
+                want = e / e.sum()
+                assert y.data[:, k].tobytes() == want.tobytes()
+                gk = g[:, k].copy()
+                want_grad = want * (gk - (gk * want).sum())
+                assert x.grad[:, k].tobytes() == want_grad.tobytes()
 
     def test_log_softmax_gradient(self):
         x = Tensor(np.random.default_rng(5).normal(size=(2, 3)), requires_grad=True)
@@ -217,10 +237,10 @@ class TestSoftmax:
 
     @given(st.lists(st.floats(-50, 50), min_size=2, max_size=6), st.floats(-100, 100))
     @settings(max_examples=50, deadline=None)
-    def test_property_rows_sum_to_one_and_shift(self, row, shift):
-        x = np.array([row])
-        a = ad.row_softmax(Tensor(x)).data
-        b = ad.row_softmax(Tensor(x + shift)).data
+    def test_property_rows_sum_to_one_and_shift(self, col, shift):
+        x = np.array([col]).T
+        a = ad.col_softmax(Tensor(x)).data
+        b = ad.col_softmax(Tensor(x + shift)).data
         assert abs(a.sum() - 1.0) < 1e-9
         np.testing.assert_allclose(a, b, atol=1e-9)
 
@@ -228,21 +248,94 @@ class TestSoftmax:
 class TestReductions:
     def test_mean_sum_max_rows(self):
         x = Tensor([[1.0, 5.0], [3.0, 1.0]])
-        np.testing.assert_array_equal(ad.mean_rows(x).data, [2.0, 3.0])
-        np.testing.assert_array_equal(ad.max_rows(x).data, [3.0, 5.0])
+        np.testing.assert_array_equal(ad.mean_rows(x).data, [[2.0, 3.0]])
+        np.testing.assert_array_equal(ad.max_rows(x, [0]).data, [[3.0, 5.0]])
 
-    def test_mean_rows_shape_is_1d(self):
-        assert ad.mean_rows(Tensor(np.ones((4, 3)))).shape == (3,)
+    def test_mean_rows_shape_is_one_row(self):
+        assert ad.mean_rows(Tensor(np.ones((4, 3)))).shape == (1, 3)
 
     def test_max_rows_gradient_goes_to_argmax(self):
         x = Tensor([[1.0, 5.0], [3.0, 1.0]], requires_grad=True)
-        ad.backward(ad.sum_all(ad.max_rows(x)))
+        ad.backward(ad.sum_all(ad.max_rows(x, [0])))
         np.testing.assert_array_equal(x.grad, [[0.0, 1.0], [1.0, 0.0]])
 
     def test_sum_all_gradient(self):
         x = Tensor(np.ones((2, 3)), requires_grad=True)
         ad.backward(ad.sum_all(x))
         np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
+
+
+def segment_max_reference(x, starts):
+    """Per-segment max and the weight each entry gets in d(sum max * w)/dx."""
+    bounds = list(starts) + [x.shape[0]]
+    peaks, hits = [], np.zeros(x.shape + (len(starts),))
+    for s, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        block = x[lo:hi]
+        peaks.append(block.max(axis=0))
+        hits[lo + block.argmax(axis=0), np.arange(x.shape[1]), s] = 1.0
+    return np.array(peaks), hits
+
+
+class TestSegmentMax:
+    # Segments of unequal length, one-row segments among them.
+    STARTS = [0, 1, 4, 5]
+
+    def test_values_and_gradient_match_reference(self):
+        rng = np.random.default_rng(21)
+        x = Tensor(rng.normal(size=(9, 3)), requires_grad=True)
+        w = rng.normal(size=(4, 3))
+        y = ad.max_rows(x, self.STARTS)
+        ad.backward(ad.sum_all(y * Tensor(w)))
+        peaks, hits = segment_max_reference(x.data, self.STARTS)
+        assert y.shape == (4, 3)
+        assert y.data.tobytes() == peaks.tobytes()
+        np.testing.assert_array_equal(x.grad, (hits * w.T[None]).sum(axis=2))
+
+    def test_gradient_vs_finite_difference(self):
+        x = Tensor(np.random.default_rng(22).normal(size=(9, 3)),
+                   requires_grad=True)
+        w = Tensor(np.random.default_rng(23).normal(size=(4, 3)))
+        assert ad.grad_check(
+            lambda: ad.sum_all(ad.max_rows(x, self.STARTS) * w), [x]) < 1e-7
+
+    def test_tied_rows_first_wins(self):
+        # A token of repeated characters has equal windows: the first of
+        # them takes the whole gradient, as np.argmax picks it.
+        x = Tensor([[1.0, 2.0], [1.0, 2.0], [1.0, 2.0],
+                    [0.0, 7.0], [3.0, 7.0]], requires_grad=True)
+        ad.backward(ad.sum_all(ad.max_rows(x, [0, 3])))
+        np.testing.assert_array_equal(
+            x.grad, [[1, 1], [0, 0], [0, 0], [0, 1], [1, 0]])
+
+    def test_one_row_segments_are_the_rows(self):
+        x = Tensor(np.random.default_rng(24).normal(size=(3, 2)),
+                   requires_grad=True)
+        y = ad.max_rows(x, [0, 1, 2])
+        assert y.data.tobytes() == x.data.tobytes()
+        ad.backward(ad.sum_all(y))
+        np.testing.assert_array_equal(x.grad, np.ones((3, 2)))
+
+    def test_nan_counts_as_the_max(self):
+        # A search that matched rows only by x == max would never match a
+        # NaN and would read one row past the end.
+        x = Tensor([[1.0, 0.0], [np.nan, 5.0], [np.nan, 2.0],
+                    [4.0, 1.0]], requires_grad=True)
+        y = ad.max_rows(x, [0, 3])
+        assert np.isnan(y.data[0, 0]) and y.data[0, 1] == 5.0
+        np.testing.assert_array_equal(y.data[1], [4.0, 1.0])
+        ad.backward(ad.sum_all(y))
+        np.testing.assert_array_equal(
+            x.grad, [[0, 0], [1, 1], [0, 0], [1, 1]])
+
+    @pytest.mark.parametrize("starts", [
+        [1, 3], [0, 2, 2], [0, 3, 2], [0, 5], []])
+    def test_bad_starts_rejected(self, starts):
+        with pytest.raises(ShapeError):
+            ad.max_rows(Tensor(np.ones((5, 2))), starts)
+
+    def test_needs_a_matrix(self):
+        with pytest.raises(ShapeError):
+            ad.max_rows(Tensor(np.ones(5)), [0])
 
 
 class TestStructureOps:
@@ -254,12 +347,6 @@ class TestStructureOps:
         ad.backward(ad.sum_all(cat * Tensor([[0.0, 0.0, 1.0, 1.0, 1.0]] * 2)))
         np.testing.assert_array_equal(a.grad, np.zeros((2, 2)))
         np.testing.assert_array_equal(b.grad, np.ones((2, 3)))
-
-    def test_concat_rows(self):
-        a = Tensor([[1.0, 2.0]])
-        b = Tensor([[3.0, 4.0], [5.0, 6.0]])
-        np.testing.assert_array_equal(ad.concat_rows([a, b]).data,
-                                      [[1, 2], [3, 4], [5, 6]])
 
     def test_gather_rows_repeated_ids_accumulate(self):
         x = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
@@ -331,12 +418,12 @@ class TestStructureOps:
         # instead of adding into it would lose a contribution.
         rng = np.random.default_rng(11)
         x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-        weights = [rng.normal(size=s) for s in [(5, 3), (6,), (3,), (4, 3)]]
+        weights = [rng.normal(size=s) for s in [(5, 3), (6,), (2, 3), (4, 3)]]
 
         def f():
             parts = [ad.gather_rows(x, [0, 2, 0, 3, 0]),
                      ad.take(x, [1, 1, 5, 11, 0, 1]),
-                     ad.max_rows(x),
+                     ad.max_rows(x, [0, 1]),
                      ad.sigmoid(x)]
             terms = [ad.sum_all(p * Tensor(w)) for p, w in zip(parts, weights)]
             total = terms[0]
@@ -598,7 +685,7 @@ class TestCrfLogPartition:
     def test_gradient_at_one_position_is_softmax(self):
         emit, trans, start = crf_operands(1, 3, seed=302)
         ad.backward(ad.crf_log_partition(emit, trans, start))
-        soft = ad.row_softmax(Tensor([start.data + emit.data[0]])).data
+        soft = np.exp(ad.log_softmax_row(Tensor([start.data + emit.data[0]])).data)
         np.testing.assert_allclose(emit.grad, soft, rtol=0, atol=1e-12)
         np.testing.assert_allclose(start.grad, soft[0], rtol=0, atol=1e-12)
         np.testing.assert_array_equal(trans.grad, np.zeros((3, 3)))
@@ -680,7 +767,7 @@ class TestBackwardMachinery:
 
         def f():
             h = ad.sigmoid(ad.matmul(x, w))
-            a = ad.row_softmax(h)
+            a = ad.col_softmax(h)
             return ad.sum_all(a * h)
 
         ad.zero_grads([w])

@@ -23,13 +23,13 @@ class TestGraphPoolClassify:
         p = init_classifier(3, 2, rng(0))
         p.w_cls.data[...] = 0.0
         out = graph_pool_classify(Tensor(rng(1).normal(size=(4, 3))), p)
-        np.testing.assert_allclose(out.data, [math.log(0.5)] * 2, atol=1e-12)
+        np.testing.assert_allclose(out.data, [[math.log(0.5)] * 2], atol=1e-12)
 
     def test_single_row_pooling_is_identity(self):
         p = init_classifier(3, 2, rng(2))
         h = rng(3).normal(size=(1, 3))
         got = graph_pool_classify(Tensor(h), p).data
-        logits = h[0] @ p.w_cls.data + p.b_cls.data
+        logits = h @ p.w_cls.data + p.b_cls.data
         want = logits - np.log(np.exp(logits).sum())
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -74,7 +74,7 @@ class TestPairClassify:
         p.w_cls.data[4:6, :] = 5.0  # the abs-diff block for d_h=2
         h = rng(1).normal(size=(3, 2))
         out = pair_classify(Tensor(h), Tensor(h.copy()), p).data
-        np.testing.assert_allclose(out.data, [math.log(0.5)] * 2, atol=1e-12)
+        np.testing.assert_allclose(out.data, [[math.log(0.5)] * 2], atol=1e-12)
 
     def test_swap_asymmetry_through_first_blocks(self):
         p = init_classifier(8, 2, rng(2))
@@ -104,7 +104,7 @@ class TestPairClassify:
         ha = rng(12).normal(size=(2, 2))
         hb = rng(13).normal(size=(3, 2))
         a, b = ha.mean(axis=0), hb.mean(axis=0)
-        feats = np.concatenate([a, b, np.abs(a - b), a * b])
+        feats = np.concatenate([a, b, np.abs(a - b), a * b])[None, :]
         logits = feats @ p.w_cls.data + p.b_cls.data
         want = logits - np.log(np.exp(logits).sum())
         got = pair_classify(Tensor(ha), Tensor(hb), p).data
@@ -157,9 +157,13 @@ class TestNodeCrfHead:
 
 class TestNllOfClass:
     def test_picks_right_entry(self):
-        lp = Tensor(np.log([0.25, 0.75]))
-        assert abs(nll_of_class(lp, 1).item() - (-math.log(0.75))) < 1e-12
+        lp = Tensor(np.log([[0.2, 0.3, 0.5]]))
+        assert abs(nll_of_class(lp, 1).item() - (-math.log(0.3))) < 1e-12
+        assert abs(nll_of_class(lp, 2).item() - (-math.log(0.5))) < 1e-12
 
     def test_label_out_of_range(self):
-        with pytest.raises(ValueError):
-            nll_of_class(Tensor(np.log([0.5, 0.5])), 2)
+        lp = Tensor(np.log([[0.2, 0.3, 0.5]]))
+        for label in (3, -1):
+            with pytest.raises(ValueError):
+                nll_of_class(lp, label)
+

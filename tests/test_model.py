@@ -1,5 +1,7 @@
 """Full-model integration: construction determinism, losses, predictions."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -193,6 +195,50 @@ class TestForward:
         assert off.loss_for(ex).item() == off.loss_for(plain).item()
         on = Cn3Model(tiny_cfg(use_dep=True), [ex, classify_data()[1]])
         assert on.loss_for(ex).item() != on.loss_for(plain).item()
+
+    @pytest.mark.parametrize("task", ["classify", "match"])
+    def test_predict_is_the_label_of_least_loss(self, task):
+        data = gradcheck_examples(task)
+        m = Cn3Model(tiny_cfg(task=task, use_char=True, use_dep=True), data)
+        randomize_params(m, seed=3)
+        for ex in data:
+            losses = {label: m.loss_for(dataclasses.replace(ex, label=label))
+                      .item() for label in m.labels}
+            assert m.predict(ex) == min(losses, key=losses.get)
+
+    def test_tape_size_does_not_depend_on_sentence_length(self):
+        # Every step of a model is one tape node, whatever the sentence
+        # length: only the config and the layer count set the tape.
+        words = ["the", "Cat", "sat", "on", "a", "mat", "by", "Door"]
+
+        def sentence(n, shift=0):
+            tokens = [words[(i + shift) % len(words)] for i in range(n)]
+            edges = {(i, i + 1): ("det" if i % 2 else "nsubj")
+                     for i in range(n - 1)}
+            return tokens, edges
+
+        def pair(n):
+            (a, ea), (b, eb) = sentence(n), sentence(n, shift=3)
+            return LabeledExample(kind=PAIR, tokens=a, tokens_b=b,
+                                  label="mn"[n % 2], dep_edges=ea,
+                                  dep_edges_b=eb)
+
+        def tagged(n):
+            tokens, edges = sentence(n)
+            return LabeledExample(kind=TAGGING, tokens=tokens,
+                                  tags=["O" if i % 3 else "B-N"
+                                        for i in range(n)],
+                                  dep_edges=edges)
+
+        flags = dict(use_char=True, use_spell=True, use_dep=True, layers=2,
+                     max_len=16)
+        cases = [(tiny_cfg(task="match", **flags), pair),
+                 (tiny_cfg(task="tag", use_lstm=True, **flags), tagged)]
+        for cfg, make in cases:
+            m = Cn3Model(cfg, [make(4), make(12), make(5)])
+            short, long = (len(ad._topo_order(m.loss_for(make(n))))
+                           for n in (4, 12))
+            assert short == long, cfg.task
 
 
 class TestGradients:

@@ -440,6 +440,25 @@ class TestTrainLoop:
         after = m.snapshot()
         assert all(before[k].tobytes() == after[k].tobytes() for k in before)
 
+    def test_nan_char_embedding_diverges(self):
+        # A NaN in one character's embedding makes the pooled char vector
+        # of every token holding it NaN: the max over its windows must pick
+        # the NaN row, as np.argmax does, so that train() reports a
+        # divergence rather than indexing one row past the windows.
+        tagged, _ = case_tagging(n_train=4, n_test=1, seed=0)
+        m = Cn3Model(ModelConfig(task="tag", layers=1, d_word=4, d_h=4,
+                                 d_a=3, d_char=3, use_char=True, seed=0),
+                     tagged)
+        m.encoder.char_table.weights.data[
+            m.char_vocab.id_of(tagged[0].tokens[0][0]), 1] = np.nan
+        before = m.snapshot()
+        with pytest.raises(tr.TrainingDiverged, match="non-finite") as err:
+            tr.train(m, tagged, tiny_train_cfg(metric="token_accuracy"))
+        assert err.value.history == []
+        after = m.snapshot()
+        assert all(before[k].tobytes() == after[k].tobytes()
+                   for k in before)
+
     def test_numeric_error_restores_and_raises(self, monkeypatch):
         # A weight poisoned after the first step makes the next batch's
         # softmax raise NumericError; train() must treat that as divergence.

@@ -26,14 +26,20 @@ Broadcasting is deliberately narrow: binary elementwise ops accept equal
 shapes, or a 2-D left operand with a row-vector right operand (bias add,
 row-wise gating). Everything else must match exactly.
 
-Three fused ops put on the tape as one node, with a hand-written backward
-pass, what would otherwise take dozens to hundreds of nodes.
-``pair_scores``, the pair scorer, adds a per-source row, a per-target row
-and a relation row for every ordered pair, applies tanh and projects onto
-a vector, in blocks of source rows. ``lstm_scan`` runs one direction of an
-LSTM over the rows of a matrix and backpropagates through time.
-``crf_log_partition`` runs a linear-chain CRF's forward algorithm, and its
-backward pass delivers the forward-backward marginals.
+The ops: elementwise ``add``, ``sub``, ``mul``, ``scale``, ``sigmoid``
+and ``absval``; ``matmul``, ``reshape`` and ``concat_cols``; the index
+ops above; ``row_softmax``, ``log_softmax_row``, ``mean_rows`` and
+``sum_all``; and three fused ops, which put on the tape as one node, with
+a hand-written backward pass, what would otherwise take dozens to
+hundreds of nodes. ``pair_scores``, the pair scorer, adds a per-source
+row, a per-target row and a relation row for every ordered pair, applies
+tanh and projects onto a vector, in blocks of source rows; it returns
+the scores target-major, one row per target, so that ``row_softmax``
+normalizes each target over its sources. ``lstm_scan`` runs one
+direction of an LSTM over the rows of a matrix and backpropagates
+through time. ``crf_log_partition`` runs a linear-chain CRF's forward
+algorithm, and its backward pass delivers the forward-backward
+marginals.
 """
 
 from __future__ import annotations
@@ -313,17 +319,6 @@ def matmul(a, b) -> Tensor:
     return _result(a.data @ b.data, (a, b), "matmul", back)
 
 
-def transpose(x) -> Tensor:
-    x = as_tensor(x)
-    if x.ndim != 2:
-        raise ShapeError(f"transpose expects 2-D, got {x.shape}")
-
-    def back(g):
-        _accum(x, g.T)
-
-    return _result(x.data.T, (x,), "transpose", back)
-
-
 def reshape(x, shape) -> Tensor:
     x = as_tensor(x)
     shape = tuple(int(s) for s in shape)
@@ -379,22 +374,24 @@ def gather_rows(x, ids: Iterable[int]) -> Tensor:
 
 
 def pair_scores(src, tgt, rel, rel_ids, u) -> Tensor:
-    """Score every ordered pair (i, k), source i and target k:
+    """Score every ordered pair (i, k), source i and target k, target-major:
 
-        s[i, k] = u . tanh(src[i] + tgt[k] + rel[rel_ids[i*n + k]])
+        s[k, i] = u . tanh(src[i] + tgt[k] + rel[rel_ids[i*n + k]])
 
     src and tgt are [n, d], rel is [r, d] with one row per relation, rel_ids
-    holds n*n row ids of rel in row-major pair order, and u is [d]; the
-    result is [n, n].
+    holds n*n row ids of rel in source-major pair order, and u is [d]; the
+    result is [n, n], row k holding target k's scores over the sources.
 
     Most pairs share one relation (no edge), so its row is added to tgt
     once and only the pairs with another relation get their own sum. The
     forward pass runs over blocks of source rows of about PAIR_BLOCK_BYTES
-    and writes each block's scores straight into the result. When a
-    backward pass can follow, the tanh output ([n*n, d]) is the one pair
-    array kept; otherwise one block buffer is reused and nothing of size
-    n*n*d outlives the call. The backward pass sums over targets for src,
-    over sources for tgt, and adds into rel at each pair's relation id.
+    and writes each block's scores into a source-major matrix, returned
+    transposed. When a backward pass can follow, the tanh output
+    ([n*n, d]) is the one pair array kept; otherwise one block buffer is
+    reused and nothing of size n*n*d outlives the call. The backward pass
+    turns its gradient back to source-major order once, sums over targets
+    for src, over sources for tgt, and adds into rel at each pair's
+    relation id.
     """
     src, tgt, rel, u = (as_tensor(t) for t in (src, tgt, rel, u))
     if src.ndim != 2 or tgt.shape != src.shape:
@@ -433,7 +430,7 @@ def pair_scores(src, tgt, rel, rel_ids, u) -> Tensor:
         np.dot(block, u.data, out=flat_scores[first:last])
 
     def back(g):
-        g = g.reshape(-1)
+        g = np.ascontiguousarray(g.T).reshape(-1)
         gu = np.zeros(d)
         gsrc = np.empty((n, d))
         gtgt = np.zeros((n, d))
@@ -464,7 +461,7 @@ def pair_scores(src, tgt, rel, rel_ids, u) -> Tensor:
         for t, grad in ((src, gsrc), (tgt, gtgt), (u, gu)):
             _accum(t, grad)
 
-    return _result(scores, parents, "pair_scores", back)
+    return _result(scores.T, parents, "pair_scores", back)
 
 
 def lstm_scan(xs, w_input, w_hidden, bias, reverse: bool = False) -> Tensor:
@@ -619,27 +616,21 @@ def take(x, flat_ids: Iterable[int]) -> Tensor:
 # ---------------------------------------------------------------------------
 # softmax and reductions
 
-def col_softmax(x) -> Tensor:
-    """Softmax down each column, stabilized by max-subtraction.
-
-    The sums run along the rows of a transposed copy, the contiguous axis,
-    where numpy adds pairwise rather than one row at a time.
-    """
+def row_softmax(x) -> Tensor:
+    """Softmax along each row, stabilized by max-subtraction."""
     x = as_tensor(x)
     if x.ndim != 2:
-        raise ShapeError(f"col_softmax expects 2-D, got {x.shape}")
+        raise ShapeError(f"row_softmax expects 2-D, got {x.shape}")
     if not np.all(np.isfinite(x.data)):
-        raise NumericError("col_softmax: non-finite input")
-    xt = np.ascontiguousarray(x.data.T)
-    e = np.exp(xt - xt.max(axis=1, keepdims=True))
-    yt = e / e.sum(axis=1, keepdims=True)
+        raise NumericError("row_softmax: non-finite input")
+    e = np.exp(x.data - x.data.max(axis=1, keepdims=True))
+    y = e / e.sum(axis=1, keepdims=True)
 
     def back(g):
-        gt = np.ascontiguousarray(g.T)
-        dot = (gt * yt).sum(axis=1, keepdims=True)
-        _accum(x, (yt * (gt - dot)).T)
+        dot = (g * y).sum(axis=1, keepdims=True)
+        _accum(x, y * (g - dot))
 
-    return _result(yt.T, (x,), "col_softmax", back)
+    return _result(y, (x,), "row_softmax", back)
 
 
 def log_softmax_row(x) -> Tensor:

@@ -18,9 +18,13 @@ layer's scoring costs O(n*d_cat*d_a + r*d_e*d_a + n^2*d_a) for r
 relations, instead of O(n^2*d_cat*d_a), and keeps one [n^2, d_a] array
 for the backward pass (none under ``autodiff.no_grad()``).
 
-Orientation conventions, fixed throughout: score matrix entry s[i][k] is
-source i, target k; normalization runs down each column (over sources);
-weight matrices are consumed as right operands of row-major matmuls.
+Orientation conventions, fixed throughout: inside the stack, scores and
+attention are target-major, so entry s[k][i] is target k, source i. Each
+row is normalized over the sources, and the aggregate is the plain
+product alpha @ h; no transposed copy is built. Only the reported trace
+(``Cn3Model.trace_for``) is source-major, alpha[i][k], as in the paper.
+Relation ids stay source-major: e.ids[i*n + k] is pair (i, k). Weight
+matrices are consumed as right operands of row-major matmuls.
 """
 
 from __future__ import annotations
@@ -64,7 +68,11 @@ class Cn3StackParams:
 
 @dataclass
 class AlphaTrace:
-    """Per-layer attention matrices for a sentence, plus its surface tokens."""
+    """Per-layer source-major attention of a sentence, plus its tokens.
+
+    per_layer[l][i][k] is layer l's weight of source i for target k, so each
+    column sums to one.
+    """
 
     tokens: list[str]
     per_layer: list[Tensor]
@@ -92,9 +100,10 @@ def init_stack(d_h0: int, d_h: int, d_v: int, d_e: int, d_a: int, depth: int,
 
 def edge_scores(h: Tensor, v: Tensor | None, e: EdgeAttrs,
                 p: Cn3LayerParams) -> Tensor:
-    """Score every ordered pair: s[i][k] = u . tanh([h_k, h_i, v_i, v_k, e_ik] @ W).
+    """Score every ordered pair: s[k][i] = u . tanh([h_k, h_i, v_i, v_k, e_ik] @ W).
 
-    e_ik is row e.ids[i*n + k] of e.table. A None v stands for a
+    The result is target-major: row k holds target k's scores over the
+    sources. e_ik is row e.ids[i*n + k] of e.table. A None v stands for a
     zero-width attribute block.
 
     W is linear in each block, so the product is evaluated in factored
@@ -132,17 +141,17 @@ def edge_scores(h: Tensor, v: Tensor | None, e: EdgeAttrs,
 
 
 def normalize_alpha(s: Tensor) -> Tensor:
-    """Column-wise softmax: alpha[:, k] distributes target k's attention over sources."""
+    """Row-wise softmax: alpha[k] distributes target k's attention over sources."""
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ad.ShapeError(f"score matrix must be square, got {s.shape}")
-    return ad.col_softmax(s)
+    return ad.row_softmax(s)
 
 
 def aggregate(alpha: Tensor, h: Tensor) -> Tensor:
-    """Row k of the result is sum_i alpha[i][k] * h[i]."""
+    """Row k of the result is sum_i alpha[k][i] * h[i]."""
     if alpha.shape != (h.shape[0], h.shape[0]):
         raise ad.ShapeError(f"alpha {alpha.shape} does not match h {h.shape}")
-    return ad.matmul(ad.transpose(alpha), h)
+    return ad.matmul(alpha, h)
 
 
 def gated_update(h: Tensor, h_agg: Tensor, p: Cn3LayerParams) -> Tensor:
@@ -157,12 +166,13 @@ def gated_update(h: Tensor, h_agg: Tensor, p: Cn3LayerParams) -> Tensor:
     return h + g * (h_agg - h)
 
 
-def run_stack(h0: Tensor, v: Tensor | None, e: EdgeAttrs, stack: Cn3StackParams,
-              tokens: list[str] | None = None) -> tuple[Tensor, AlphaTrace]:
+def run_stack(h0: Tensor, v: Tensor | None, e: EdgeAttrs,
+              stack: Cn3StackParams) -> tuple[Tensor, list[Tensor]]:
     """Project h0 if configured, then apply every layer; collect each alpha.
 
-    A zero-layer stack is allowed and returns the (projected) input with an
-    empty trace; ablations use it as the no-message-passing baseline.
+    The alphas are target-major, one per layer. A zero-layer stack is
+    allowed and returns the (projected) input with no alphas; ablations
+    use it as the no-message-passing baseline.
     """
     h = h0 if stack.input_proj is None else ad.matmul(h0, stack.input_proj)
     alphas: list[Tensor] = []
@@ -171,6 +181,4 @@ def run_stack(h0: Tensor, v: Tensor | None, e: EdgeAttrs, stack: Cn3StackParams,
         alpha = normalize_alpha(s)
         h = gated_update(h, aggregate(alpha, h), layer)
         alphas.append(alpha)
-    if tokens is None:
-        tokens = [str(i) for i in range(h0.shape[0])]
-    return h, AlphaTrace(tokens=tokens, per_layer=alphas)
+    return h, alphas

@@ -107,7 +107,6 @@ class EmbeddingTable:
 
     weights: Tensor
     vocab: Vocabulary | None = None
-    trainable: bool = True
 
     def __post_init__(self):
         if self.weights.ndim != 2:
@@ -117,7 +116,6 @@ class EmbeddingTable:
                              f"but vocabulary has {len(self.vocab)} entries")
         if not np.all(np.isfinite(self.weights.data)):
             raise ad.NumericError("embedding weights must be finite")
-        self.weights.requires_grad = self.trainable
 
     @property
     def rows(self) -> int:
@@ -129,23 +127,22 @@ class EmbeddingTable:
 
 
 def random_table(rows: int, d: int, rng: np.random.Generator,
-                 vocab: Vocabulary | None = None,
-                 trainable: bool = True) -> EmbeddingTable:
-    w = ad.uniform((rows, d), INIT_LO, INIT_HI, rng, requires_grad=trainable)
-    return EmbeddingTable(w, vocab=vocab, trainable=trainable)
+                 vocab: Vocabulary | None = None) -> EmbeddingTable:
+    return EmbeddingTable(ad.uniform((rows, d), INIT_LO, INIT_HI, rng),
+                          vocab=vocab)
 
 
-def table_for(vocab: Vocabulary, d: int, rng: np.random.Generator,
-              trainable: bool = True) -> EmbeddingTable:
-    return random_table(len(vocab), d, rng, vocab=vocab, trainable=trainable)
+def table_for(vocab: Vocabulary, d: int,
+              rng: np.random.Generator) -> EmbeddingTable:
+    return random_table(len(vocab), d, rng, vocab=vocab)
 
 
 class GloveParseError(ValueError):
     """A pretrained-vector line did not parse; message carries the line number."""
 
 
-def load_glove(path, vocab: Vocabulary, d: int, rng: np.random.Generator,
-               trainable: bool = True) -> EmbeddingTable:
+def load_glove(path, vocab: Vocabulary, d: int,
+               rng: np.random.Generator) -> EmbeddingTable:
     """Build a word table, overwriting rows found in a GloVe text file.
 
     The whole table is drawn uniformly in [-0.1, 0.1] first, so words the
@@ -174,8 +171,7 @@ def load_glove(path, vocab: Vocabulary, d: int, rng: np.random.Generator,
                 raise GloveParseError(f"line {lineno}: non-finite value")
             weights[row] = vector
     weights[vocab.pad_id] = 0.0
-    return EmbeddingTable(Tensor(weights, requires_grad=trainable),
-                          vocab=vocab, trainable=trainable)
+    return EmbeddingTable(Tensor(weights, requires_grad=True), vocab=vocab)
 
 
 def lookup(table: EmbeddingTable, ids: Sequence[int]) -> Tensor:

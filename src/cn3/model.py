@@ -129,11 +129,10 @@ class Cn3Model:
         # Parameter draw order below is part of the archive contract.
         if glove_path is not None:
             word_table = embeddings.load_glove(glove_path, self.word_vocab,
-                                               cfg.d_word, rng,
-                                               trainable=cfg.fine_tune_words)
+                                               cfg.d_word, rng)
         else:
-            word_table = embeddings.table_for(self.word_vocab, cfg.d_word, rng,
-                                              trainable=cfg.fine_tune_words)
+            word_table = embeddings.table_for(self.word_vocab, cfg.d_word, rng)
+        word_table.weights.requires_grad = cfg.fine_tune_words
         self.encoder = encoders.EncoderParams(
             word_table=word_table,
             rel_table=embeddings.table_for(self.rel_vocab, cfg.d_rel, rng),
@@ -263,11 +262,11 @@ class Cn3Model:
                                       spell_ids=spell_ids, pos_tag_ids=tag_ids,
                                       dep_edges=edges)
 
-    def encode(self, g: encoders.SentenceGraph,
-               tokens: list[str] | None = None) -> tuple[Tensor, core.AlphaTrace]:
+    def encode(self, g: encoders.SentenceGraph) -> tuple[Tensor, list[Tensor]]:
+        """Final node states and each layer's target-major attention."""
         h0, v = encoders.assemble_node_attrs(g, self.encoder)
         e = encoders.assemble_edge_attrs(g, self.encoder.rel_table)
-        return core.run_stack(h0, v, e, self.stack, tokens=tokens)
+        return core.run_stack(h0, v, e, self.stack)
 
     def _side(self, tokens: Sequence[str], pos_tags: Sequence[str] | None,
               dep_edges: dict[tuple[int, int], str]) -> Tensor:
@@ -313,7 +312,9 @@ class Cn3Model:
                   pos_tags: Sequence[str] | None = None,
                   dep_edges: dict[tuple[int, int], str] | None = None,
                   ) -> core.AlphaTrace:
-        """Per-layer attention for one sentence, computed without a tape."""
+        """Per-layer source-major attention of one sentence, without a tape."""
         g = self.sentence_graph(tokens, pos_tags, dep_edges)
         with ad.no_grad():
-            return self.encode(g, tokens=list(tokens))[1]
+            alphas = self.encode(g)[1]
+            return core.AlphaTrace(list(tokens),
+                                   [Tensor(a.data.T) for a in alphas])

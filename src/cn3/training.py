@@ -279,8 +279,9 @@ class TrainConfig:
                              "patience non-negative")
         if not 0.0 < self.rho < 1.0:
             raise ValueError(f"rho must lie in (0, 1), got {self.rho}")
-        if not self.eps > 0.0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
+        if not 0.0 < self.eps < math.inf:
+            raise ValueError(f"eps must be positive and finite, "
+                             f"got {self.eps}")
         if self.clip_norm is not None and not self.clip_norm > 0.0:
             raise ValueError(f"clip_norm must be positive or none, "
                              f"got {self.clip_norm}")
@@ -323,7 +324,7 @@ def train(model: Cn3Model, train_data: Sequence[LabeledExample],
     state = AdaDeltaState.for_params(params, rho=cfg.rho, eps=cfg.eps)
     history: list[dict] = []
     best_metric = -math.inf
-    best_snap = model.snapshot()
+    best_snap = None  # set by epoch 0's dev metric, which beats -inf
     last_good = model.snapshot()
     bad_epochs = 0
     for epoch in range(cfg.epochs):

@@ -169,24 +169,24 @@ class TestUnaries:
 
 class TestSoftmax:
     def test_uniform_rows(self):
-        y = ad.col_softmax(Tensor(np.zeros((4, 2)))).data
-        np.testing.assert_allclose(y, np.full((4, 2), 0.25), atol=1e-15)
+        y = ad.row_softmax(Tensor(np.zeros((2, 4)))).data
+        np.testing.assert_allclose(y, np.full((2, 4), 0.25), atol=1e-15)
 
     def test_shift_invariance(self):
-        x = np.array([[1.0], [2.0], [3.0]])
-        a = ad.col_softmax(Tensor(x)).data
-        b = ad.col_softmax(Tensor(x + 123.0)).data
+        x = np.array([[1.0, 2.0, 3.0]])
+        a = ad.row_softmax(Tensor(x)).data
+        b = ad.row_softmax(Tensor(x + 123.0)).data
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_large_inputs_analytic(self):
-        y = ad.col_softmax(Tensor([[1000.0], [1001.0]])).data
+        y = ad.row_softmax(Tensor([[1000.0, 1001.0]])).data
         expected = 1.0 / (1.0 + math.e)
         assert abs(y[0, 0] - expected) < 1e-12
-        assert abs(y[1, 0] - (1.0 - expected)) < 1e-12
+        assert abs(y[0, 1] - (1.0 - expected)) < 1e-12
 
     def test_nonfinite_rejected(self):
         with pytest.raises(NumericError):
-            ad.col_softmax(Tensor([[1.0], [np.inf]]))
+            ad.row_softmax(Tensor([[1.0, np.inf]]))
         with pytest.raises(NumericError):
             ad.log_softmax_row(Tensor([[np.nan, 0.0]]))
 
@@ -194,36 +194,36 @@ class TestSoftmax:
         x = Tensor(np.random.default_rng(2).normal(size=(3, 5)))
         np.testing.assert_allclose(
             ad.log_softmax_row(x).data,
-            np.log(ad.col_softmax(Tensor(x.data.T)).data).T, atol=1e-12)
+            np.log(ad.row_softmax(x).data), atol=1e-12)
 
     def test_softmax_gradient(self):
-        x = Tensor(np.random.default_rng(3).normal(size=(4, 2)), requires_grad=True)
-        w = np.random.default_rng(4).normal(size=(4, 2))
+        x = Tensor(np.random.default_rng(3).normal(size=(2, 4)), requires_grad=True)
+        w = np.random.default_rng(4).normal(size=(2, 4))
 
         def f():
-            return ad.sum_all(ad.col_softmax(x) * Tensor(w))
+            return ad.sum_all(ad.row_softmax(x) * Tensor(w))
 
         ad.backward(f())
         np.testing.assert_allclose(x.grad, central_diff(f, x), atol=1e-7)
 
-    def test_col_softmax_bitwise_equals_softmax_of_each_column(self):
-        # Each column's sums run in the order of a 1-D sum over that
-        # column, whatever the matrix size: column k of the result and of
-        # its gradient equals the softmax of column k alone.
+    def test_row_softmax_bitwise_equals_softmax_of_each_row(self):
+        # Each row's sums run in the order of a 1-D sum over that row,
+        # whatever the matrix size: row k of the result and of its
+        # gradient equals the softmax of row k alone.
         rng = np.random.default_rng(13)
         for n in (3, 17, 130):
             x = Tensor(5.0 * rng.normal(size=(n, n)), requires_grad=True)
             g = rng.normal(size=(n, n))
-            y = ad.col_softmax(x)
+            y = ad.row_softmax(x)
             ad.backward(ad.sum_all(y * Tensor(g)))
             for k in range(n):
-                col = x.data[:, k].copy()
-                e = np.exp(col - col.max())
+                row = x.data[k].copy()
+                e = np.exp(row - row.max())
                 want = e / e.sum()
-                assert y.data[:, k].tobytes() == want.tobytes()
-                gk = g[:, k].copy()
+                assert y.data[k].tobytes() == want.tobytes()
+                gk = g[k].copy()
                 want_grad = want * (gk - (gk * want).sum())
-                assert x.grad[:, k].tobytes() == want_grad.tobytes()
+                assert x.grad[k].tobytes() == want_grad.tobytes()
 
     def test_log_softmax_gradient(self):
         x = Tensor(np.random.default_rng(5).normal(size=(2, 3)), requires_grad=True)
@@ -237,10 +237,10 @@ class TestSoftmax:
 
     @given(st.lists(st.floats(-50, 50), min_size=2, max_size=6), st.floats(-100, 100))
     @settings(max_examples=50, deadline=None)
-    def test_property_rows_sum_to_one_and_shift(self, col, shift):
-        x = np.array([col]).T
-        a = ad.col_softmax(Tensor(x)).data
-        b = ad.col_softmax(Tensor(x + shift)).data
+    def test_property_rows_sum_to_one_and_shift(self, row, shift):
+        x = np.array([row])
+        a = ad.row_softmax(Tensor(x)).data
+        b = ad.row_softmax(Tensor(x + shift)).data
         assert abs(a.sum() - 1.0) < 1e-9
         np.testing.assert_allclose(a, b, atol=1e-9)
 
@@ -433,12 +433,6 @@ class TestStructureOps:
 
         assert ad.grad_check(f, [x]) < 1e-7
 
-    def test_transpose_gradient(self):
-        x = Tensor(np.arange(6, dtype=float).reshape(2, 3), requires_grad=True)
-        w = np.random.default_rng(7).normal(size=(3, 2))
-        ad.backward(ad.sum_all(ad.transpose(x) * Tensor(w)))
-        np.testing.assert_array_equal(x.grad, w.T)
-
     def test_reshape_size_mismatch(self):
         with pytest.raises(ShapeError):
             ad.reshape(Tensor(np.ones((2, 3))), (4, 2))
@@ -464,6 +458,7 @@ def pair_operands(n, d, seed, rels=3, ids="repeated"):
 
 
 def dense_pair_scores(src, tgt, rel, rel_ids, u):
+    """All pair scores by broadcasting, source-major: s[i, k]."""
     n, d = src.shape
     pre = src[:, None, :] + tgt[None, :, :] + rel[rel_ids].reshape(n, n, d)
     return np.tanh(pre) @ u
@@ -477,7 +472,7 @@ class TestPairScores:
         for i in range(n):
             for k in range(n):
                 pre = src.data[i] + tgt.data[k] + rel.data[ids[i * n + k]]
-                want[i, k] = np.tanh(pre) @ u.data
+                want[k, i] = np.tanh(pre) @ u.data
         got = ad.pair_scores(src, tgt, rel, ids, u).data
         assert got.shape == (n, n)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
@@ -505,7 +500,7 @@ class TestPairScores:
         picks = np.random.default_rng(6).choice(n * n, size=50, replace=False)
         ids[picks] = 1 + picks % 2
         got = ad.pair_scores(src, tgt, rel, ids, u).data
-        want = dense_pair_scores(src.data, tgt.data, rel.data, ids, u.data)
+        want = dense_pair_scores(src.data, tgt.data, rel.data, ids, u.data).T
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_no_grad_scores_bitwise_equal(self):
@@ -767,7 +762,7 @@ class TestBackwardMachinery:
 
         def f():
             h = ad.sigmoid(ad.matmul(x, w))
-            a = ad.col_softmax(h)
+            a = ad.row_softmax(h)
             return ad.sum_all(a * h)
 
         ad.zero_grads([w])

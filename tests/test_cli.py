@@ -1,6 +1,7 @@
 """End-to-end command-line runs, in process via entry()."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -185,7 +186,7 @@ class TestTrain:
         assert (tmp_path / "model.cn3").exists()
 
     @pytest.mark.parametrize("key,value", [
-        ("clip_norm", -1), ("rho", 1.5), ("eps", 0)])
+        ("clip_norm", -1), ("rho", 1.5), ("eps", 0), ("eps", math.inf)])
     def test_nonsensical_optimizer_exits_2(self, tmp_path, capsys, key, value):
         cfg = write_classify_setup(tmp_path, **{key: value})
         assert entry(["train", "--config", str(cfg)]) == 2

@@ -36,7 +36,8 @@ def shared_edges(n, d_e, seed, rows=3):
 def scalar_scores(h, v, e, p):
     """Build each pair's concat vector explicitly; the slow reference.
 
-    e holds one row per ordered pair, row-major.
+    e holds one row per ordered pair, row-major. The result is source-major,
+    s[i, k], as in the paper; edge_scores' is its transpose.
     """
     n = h.shape[0]
     out = np.zeros((n, n))
@@ -73,7 +74,7 @@ class TestEdgeScores:
         e = distinct_edges(2, 2, 8)
         got = edge_scores(h, v, e, p).data
         want = scalar_scores(h.data, v.data, e.table.data[e.ids], p)
-        np.testing.assert_allclose(got, want, atol=1e-12)
+        np.testing.assert_allclose(got, want.T, atol=1e-12)
 
     def test_matches_scalar_reimplementation_without_v(self):
         p = init_layer(3, 0, 2, 4, rng(9))
@@ -81,7 +82,7 @@ class TestEdgeScores:
         e = distinct_edges(3, 2, 11)
         got = edge_scores(h, None, e, p).data
         want = scalar_scores(h.data, None, e.table.data[e.ids], p)
-        np.testing.assert_allclose(got, want, atol=1e-12)
+        np.testing.assert_allclose(got, want.T, atol=1e-12)
 
     def test_matches_scalar_reimplementation_distinct_edges(self):
         # Five tokens, and every pair's edge row differs from every other's,
@@ -94,7 +95,7 @@ class TestEdgeScores:
         assert len({tuple(row) for row in e.table.data[e.ids]}) == n * n
         got = edge_scores(h, v, e, p).data
         want = scalar_scores(h.data, v.data, e.table.data[e.ids], p)
-        np.testing.assert_allclose(got, want, atol=1e-12)
+        np.testing.assert_allclose(got, want.T, atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 4])
     @pytest.mark.parametrize("with_v", [True, False])
@@ -196,17 +197,19 @@ class TestNormalizeAlpha:
         a = normalize_alpha(Tensor(np.zeros((3, 3)))).data
         np.testing.assert_allclose(a, np.full((3, 3), 1.0 / 3.0), atol=1e-15)
 
+    # Row k of the target-major alpha is column k of the paper's
+    # source-major alpha: target k's distribution over the sources.
     def test_columns_sum_to_one(self):
         a = normalize_alpha(Tensor(rng(0).normal(size=(5, 5)))).data
-        np.testing.assert_allclose(a.sum(axis=0), np.ones(5), atol=1e-12)
+        np.testing.assert_allclose(a.sum(axis=1), np.ones(5), atol=1e-12)
 
     def test_column_shift_invariance(self):
         s = rng(1).normal(size=(4, 4))
         shifted = s.copy()
-        shifted[:, 2] += 7.5
+        shifted[2] += 7.5
         a = normalize_alpha(Tensor(s)).data
         b = normalize_alpha(Tensor(shifted)).data
-        np.testing.assert_allclose(a[:, 2], b[:, 2], atol=1e-12)
+        np.testing.assert_allclose(a[2], b[2], atol=1e-12)
 
     def test_nan_rejected(self):
         s = np.zeros((2, 2))
@@ -239,7 +242,7 @@ class TestAggregate:
         want = np.zeros((n, d))
         for k in range(n):
             for i in range(n):
-                want[k] += alpha[i, k] * h[i]
+                want[k] += alpha[k, i] * h[i]
         np.testing.assert_allclose(got, want, atol=1e-12)
 
 
@@ -286,39 +289,40 @@ class TestRunStack:
     def test_single_node_single_layer_fixed_point(self):
         stack = init_stack(3, 3, 0, 2, 2, 1, rng(0))
         h0 = Tensor(rng(1).normal(size=(1, 3)))
-        out, trace = run_stack(h0, None, constant_edges(1, 2), stack)
+        out, alphas = run_stack(h0, None, constant_edges(1, 2), stack)
         np.testing.assert_allclose(out.data, h0.data, atol=1e-12)
-        np.testing.assert_allclose(trace.per_layer[0].data, [[1.0]], atol=1e-15)
+        np.testing.assert_allclose(alphas[0].data, [[1.0]], atol=1e-15)
 
     def test_two_layers_equal_manual_chain(self):
         stack = init_stack(3, 3, 2, 2, 3, 2, rng(2))
         h0 = Tensor(rng(3).normal(size=(4, 3)))
         v = Tensor(rng(4).normal(size=(4, 2)))
         e = constant_edges(4, 2)
-        out, trace = run_stack(h0, v, e, stack)
+        out, alphas = run_stack(h0, v, e, stack)
         h = h0
         for layer in stack.layers:
             alpha = normalize_alpha(edge_scores(h, v, e, layer))
             h = gated_update(h, aggregate(alpha, h), layer)
         np.testing.assert_array_equal(out.data, h.data)
-        assert len(trace.per_layer) == 2
-        assert all(a.shape == (4, 4) for a in trace.per_layer)
+        assert len(alphas) == 2
+        assert all(a.shape == (4, 4) for a in alphas)
 
     def test_trace_columns_stochastic(self):
         stack = init_stack(3, 3, 0, 2, 3, 3, rng(5))
         h0 = Tensor(rng(6).normal(size=(5, 3)))
-        _, trace = run_stack(h0, None, constant_edges(5, 2), stack)
-        for alpha in trace.per_layer:
+        _, alphas = run_stack(h0, None, constant_edges(5, 2), stack)
+        for alpha in alphas:
+            # target-major: a row here is a column of the source-major trace
             assert alpha.shape == (5, 5)
-            np.testing.assert_allclose(alpha.data.sum(axis=0), 1.0,
+            np.testing.assert_allclose(alpha.data.sum(axis=1), 1.0,
                                        rtol=0, atol=1e-9)
 
     def test_zero_layers_returns_projected_input(self):
         stack = init_stack(4, 3, 0, 2, 3, 0, rng(7))
         h0 = Tensor(rng(8).normal(size=(3, 4)))
-        out, trace = run_stack(h0, None, constant_edges(3, 2), stack)
+        out, alphas = run_stack(h0, None, constant_edges(3, 2), stack)
         np.testing.assert_array_equal(out.data, h0.data @ stack.input_proj.data)
-        assert trace.per_layer == []
+        assert alphas == []
 
     def test_input_projection_applied_when_sizes_differ(self):
         stack = init_stack(5, 3, 0, 2, 3, 1, rng(9))
@@ -364,3 +368,27 @@ class TestRunStack:
             return ad.sum_all(out * out)
 
         assert ad.grad_check(f, params) < 1e-4
+
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_each_layer_has_one_softmax_node_and_no_transpose(self, depth):
+        stack = init_stack(3, 3, 2, 2, 3, depth, rng(19))
+        h0 = Tensor(rng(20).normal(size=(4, 3)), requires_grad=True)
+        v = Tensor(rng(21).normal(size=(4, 2)))
+        out, alphas = run_stack(h0, v, shared_edges(4, 2, 22), stack)
+        nodes, seen, pending = [], {id(out)}, [out]
+        while pending:
+            t = pending.pop()
+            nodes.append(t)
+            for parent in t._parents:
+                if id(parent) not in seen:
+                    seen.add(id(parent))
+                    pending.append(parent)
+        ops = [t._op for t in nodes]
+        assert ops.count("row_softmax") == depth
+        assert not any("transpose" in op or "col_" in op for op in ops)
+        # Each alpha is the softmax node, read only by the aggregate matmul.
+        for alpha in alphas:
+            assert alpha._op == "row_softmax"
+            readers = [t._op for t in nodes
+                       if any(p is alpha for p in t._parents)]
+            assert readers == ["matmul"]

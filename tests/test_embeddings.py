@@ -182,7 +182,8 @@ class TestLookup:
 
     def test_frozen_table_gets_no_grad(self):
         v = build_vocab([["a"]])
-        t = table_for(v, 2, np.random.default_rng(4), trainable=False)
+        t = table_for(v, 2, np.random.default_rng(4))
+        t.weights.requires_grad = False
         y = lookup(t, [1])
         assert not y.requires_grad
         assert t.weights.grad is None

@@ -153,6 +153,20 @@ class TestForward:
             np.testing.assert_allclose(alpha.data.sum(axis=0), 1.0,
                                        rtol=0, atol=1e-9)
 
+    def test_trace_is_source_major_transpose_of_encode(self):
+        m = Cn3Model(tiny_cfg(layers=2, use_spell=True), classify_data())
+        randomize_params(m, seed=4)
+        tokens = ["a", "B", "c"]
+        trace = m.trace_for(tokens)
+        _, alphas = m.encode(m.sentence_graph(tokens))
+        assert len(trace.per_layer) == len(alphas) == 2
+        for src_major, tgt_major in zip(trace.per_layer, alphas):
+            assert not src_major.requires_grad and not src_major._parents
+            np.testing.assert_allclose(src_major.data.sum(axis=0), 1.0,
+                                       rtol=0, atol=1e-12)
+            assert not np.allclose(src_major.data, tgt_major.data)
+            assert src_major.data.tobytes() == tgt_major.data.T.tobytes()
+
     def test_forward_deterministic(self):
         m = Cn3Model(tiny_cfg(use_lstm=True), classify_data())
         ex = classify_data()[0]
@@ -164,8 +178,8 @@ class TestForward:
         encoded = []
         real = m.encode
 
-        def encode(g, tokens=None):
-            out = real(g, tokens)
+        def encode(g):
+            out = real(g)
             encoded.append(out[0])
             return out
 

@@ -8,9 +8,9 @@ import pytest
 from cn3 import autodiff as ad
 from cn3 import training as tr
 from cn3.autodiff import NumericError, Tensor
-from cn3.data import CLASSIFICATION, LabeledExample
+from cn3.data import CLASSIFICATION, LabeledExample, make_batches
 from cn3.model import Cn3Model, ModelConfig
-from cn3.synthetic import keyword_classification
+from cn3.synthetic import gradcheck_examples, keyword_classification
 from corpora import case_tagging
 
 
@@ -500,6 +500,55 @@ class TestTrainLoop:
                         dev_data=balanced_examples(2))
         assert len(hist) == 4
 
+    @pytest.mark.parametrize("task", ["tag", "classify", "match"])
+    def test_first_step_gets_the_batch_loss_gradient(self, task, monkeypatch):
+        # The benchmark's gradient check differentiates _batch_loss, so it
+        # vouches for training only while train() steps on that gradient.
+        data = gradcheck_examples(task)
+        cfg = tiny_train_cfg(epochs=1)
+
+        def build():
+            return Cn3Model(ModelConfig(task=task, layers=2, d_word=4, d_h=4,
+                                        d_a=3, d_char=2, lstm_hidden=2,
+                                        use_lstm=True, use_char=True,
+                                        use_dep=True, seed=0), data)
+
+        stepped = []
+        real = tr.adadelta_step
+
+        def capture(params, state, clip_norm=None):
+            if not stepped:
+                stepped.append({name: None if t.grad is None else t.grad.copy()
+                                for name, t in params})
+            return real(params, state, clip_norm=clip_norm)
+
+        monkeypatch.setattr(tr, "adadelta_step", capture)
+        tr.train(build(), data, cfg)
+        fresh = build()
+        first = make_batches(data, cfg.batch_size,
+                             tr._epoch_seed(cfg.seed, 0))[0]
+        ad.backward(tr._batch_loss(fresh, first))
+        want = {name: t.grad for name, t in fresh.params()}
+        assert list(stepped[0]) == list(want)
+        assert any(g is not None for g in want.values())
+        for name, g in want.items():
+            got = stepped[0][name]
+            assert (got is None) == (g is None), name
+            assert g is None or got.tobytes() == g.tobytes(), name
+
+    def test_frozen_word_table_is_bitwise_unchanged(self):
+        tagged, dev = case_tagging(n_train=6, n_test=2, seed=0)
+        m = Cn3Model(ModelConfig(task="tag", layers=1, d_word=4, d_h=4,
+                                 d_a=3, fine_tune_words=False, seed=0), tagged)
+        word, rel = m.encoder.word_table.weights, m.encoder.rel_table.weights
+        assert not word.requires_grad
+        word_before, rel_before = word.data.copy(), rel.data.copy()
+        tr.train(m, tagged, tiny_train_cfg(metric="token_accuracy"),
+                 dev_data=dev)
+        assert word.data.tobytes() == word_before.tobytes()
+        assert word.grad is None
+        assert not np.array_equal(rel.data, rel_before)
+
     def test_epoch_seed_varies_batch_order(self):
         seeds = {tr._epoch_seed(7, e) for e in range(10)}
         assert len(seeds) == 10
@@ -515,7 +564,7 @@ class TestTrainLoop:
     @pytest.mark.parametrize("field,value", [
         ("clip_norm", -1.0), ("clip_norm", 0.0), ("clip_norm", math.nan),
         ("rho", 0.0), ("rho", 1.0), ("rho", 1.5), ("rho", math.nan),
-        ("eps", 0.0), ("eps", -1e-6), ("eps", math.nan)])
+        ("eps", 0.0), ("eps", -1e-6), ("eps", math.nan), ("eps", math.inf)])
     def test_nonsensical_optimizer_rejected(self, field, value):
         # a negative clip_norm flips the update's sign: training climbs the loss
         with pytest.raises(ValueError, match=field):
